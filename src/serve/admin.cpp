@@ -188,10 +188,8 @@ void register_admin_endpoints(obs::AdminHttpServer& server,
        << ",\"model_version\":" << service.live_model_version()
        << ",\"ready\":" << (service.ready() ? "true" : "false")
        << ",\"num_threads\":" << o.num_threads
-       << ",\"max_batch\":" << o.max_batch
-       << ",\"max_wait_us\":" << o.max_wait.count()
        << ",\"cache_capacity\":" << o.cache_capacity
-       << ",\"batcher_pending_high_water\":" << service.batcher_high_water()
+       << ",\"queue_high_water\":" << service.queue_high_water()
        << "},\"inference\":{";
     {
       const DiagnosisService::QuantStatus q = service.live_quant_status();

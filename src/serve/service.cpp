@@ -94,11 +94,7 @@ DiagnosisService::DiagnosisService(ModelRegistry& registry,
     : opts_(opts),
       model_(registry.handle(opts.model_name)),
       subgraph_cache_(opts.cache_capacity),
-      executor_(opts.num_threads, "serve"),
-      batcher_({opts.max_batch, opts.max_wait},
-               [this](std::vector<Pending>&& batch, FlushReason reason) {
-                 flush_batch(std::move(batch), reason);
-               }) {
+      executor_(opts.num_threads, "serve") {
   // 0 = fp32, 1 = int8: the configured mode as a scrapable gauge (the
   // effective per-request mode can differ on fallback — see the counters).
   obs::MetricsRegistry::instance()
@@ -127,7 +123,7 @@ void DiagnosisService::register_design(const eval::Design& design) {
 std::future<DiagnosisResponse> DiagnosisService::submit(
     const eval::Design& design, sim::FailureLog log) {
   Pending p;
-  p.log = std::move(log);
+  p.log = std::make_shared<const sim::FailureLog>(std::move(log));
   p.promise = std::make_shared<std::promise<DiagnosisResponse>>();
   p.request_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
   p.t_submit = std::chrono::steady_clock::now();
@@ -159,20 +155,8 @@ std::future<DiagnosisResponse> DiagnosisService::submit(
     drain_cv_.notify_all();
     return future;
   }
-  batcher_.push(std::move(p));
+  executor_.post([this, p = std::move(p)]() mutable { process(p); });
   return future;
-}
-
-void DiagnosisService::flush_batch(std::vector<Pending>&& batch,
-                                   FlushReason reason) {
-  metrics_.on_batch(batch.size(), reason);
-  const auto t_flush = std::chrono::steady_clock::now();
-  // Fan the batch out: every request becomes one executor task, so a batch
-  // of B occupies min(B, num_threads) workers concurrently.
-  for (Pending& item : batch) {
-    item.t_flush = t_flush;
-    executor_.post([this, p = std::move(item)]() mutable { process(p); });
-  }
 }
 
 std::unique_ptr<DiagnosisService::WorkerContext>
@@ -201,8 +185,8 @@ void DiagnosisService::process(Pending& p) {
   M3DFL_OBS_SPAN(span, "serve.process");
   M3DFL_OBS_COUNTERS(ctrs, "serve.process");
   using clock = std::chrono::steady_clock;
-  // Worker pickup: the boundary between queue wait and service time. Queue
-  // wait = batcher dwell + executor queue; service = everything below.
+  // Worker pickup: the boundary between queue wait (time in the executor
+  // queue) and service time (everything below).
   const clock::time_point t_start = clock::now();
   const bool want_exemplar = obs::ExemplarStore::instance().enabled();
   auto rel_ms = [&p](clock::time_point a, clock::time_point b) {
@@ -210,7 +194,7 @@ void DiagnosisService::process(Pending& p) {
   };
   std::vector<obs::ExemplarStage> stages;
   if (want_exemplar) {
-    stages.push_back({"serve.batcher_wait", 0.0, rel_ms(p.t_submit, t_start)});
+    stages.push_back({"serve.queue", 0.0, rel_ms(p.t_submit, t_start)});
   }
   DiagnosisResponse r;
   r.request_id = p.request_id;
@@ -222,7 +206,7 @@ void DiagnosisService::process(Pending& p) {
       const eval::Design& d = *p.state->design;
       const clock::time_point t_diag0 = clock::now();
       std::unique_ptr<WorkerContext> ctx = acquire_context(*p.state);
-      r.atpg_report = ctx->diagnoser->diagnose(p.log);
+      r.atpg_report = ctx->diagnoser->diagnose(*p.log);
       release_context(*p.state, std::move(ctx));
       const clock::time_point t_diag1 = clock::now();
       if (want_exemplar) {
@@ -230,7 +214,7 @@ void DiagnosisService::process(Pending& p) {
                           rel_ms(t_diag0, t_diag1)});
       }
 
-      const CacheKey key{&d, failure_log_fingerprint(p.log)};
+      const SubGraphCacheKey key{&d, failure_log_fingerprint(*p.log), p.log};
       std::shared_ptr<const graphx::SubGraph> sub = subgraph_cache_.get(key);
       r.cache_hit = sub != nullptr;
       metrics_.on_cache(r.cache_hit);
@@ -238,7 +222,7 @@ void DiagnosisService::process(Pending& p) {
         M3DFL_OBS_SPAN(bt_span, "serve.backtrace");
         const clock::time_point t_bt0 = clock::now();
         sub = std::make_shared<const graphx::SubGraph>(
-            graphx::backtrace_subgraph(*d.graph, p.log, d.scan));
+            graphx::backtrace_subgraph(*d.graph, *p.log, d.scan));
         subgraph_cache_.put(key, sub);
         if (want_exemplar) {
           stages.push_back({"serve.backtrace", rel_ms(p.t_submit, t_bt0),

@@ -9,13 +9,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "core/policy.h"
 #include "eval/benchmarks.h"
 #include "eval/experiments.h"
 #include "graphx/subgraph.h"
-#include "serve/batcher.h"
 #include "serve/cache.h"
 #include "serve/executor.h"
 #include "serve/metrics.h"
@@ -24,10 +22,29 @@
 
 namespace m3dfl::serve {
 
+/// Sub-graph cache key. The log's fingerprint is only the hash: equality
+/// compares the stored log itself, so two logs whose fingerprints collide
+/// never share a cached sub-graph. `log` must be non-null.
+struct SubGraphCacheKey {
+  const eval::Design* design = nullptr;
+  std::uint64_t fingerprint = 0;
+  std::shared_ptr<const sim::FailureLog> log;
+  bool operator==(const SubGraphCacheKey& o) const {
+    return design == o.design && fingerprint == o.fingerprint &&
+           (log == o.log || *log == *o.log);
+  }
+};
+struct SubGraphCacheKeyHash {
+  std::size_t operator()(const SubGraphCacheKey& k) const {
+    return static_cast<std::size_t>(
+        fnv1a64(&k.fingerprint, sizeof(k.fingerprint),
+                reinterpret_cast<std::uintptr_t>(k.design) |
+                    0xcbf29ce484222325ull));
+  }
+};
+
 struct ServiceOptions {
   std::size_t num_threads = 4;          ///< Executor workers.
-  std::size_t max_batch = 8;            ///< Micro-batch size cap.
-  std::chrono::microseconds max_wait{2000};  ///< Micro-batch deadline.
   std::size_t cache_capacity = 256;     ///< Sub-graph LRU entries (0 = off).
   std::string model_name = "default";   ///< Registry name served.
   /// Which forward pass the policy models run. kInt8 requires the
@@ -50,14 +67,14 @@ struct DiagnosisResponse {
   bool cache_hit = false;            ///< Sub-graph came from the LRU cache.
   std::uint64_t request_id = 0;      ///< Service-assigned (1-based) trace id.
   double seconds = 0.0;              ///< End-to-end latency (submit→ready).
-  double queue_seconds = 0.0;    ///< submit → worker pickup (batcher+queue).
+  double queue_seconds = 0.0;    ///< submit → worker pickup (queue wait).
   double service_seconds = 0.0;  ///< worker pickup → response ready.
 };
 
 /// Long-lived, concurrent diagnosis-inference service:
 ///
-///   submit(design, log) → micro-batcher → executor fan-out →
-///     per-worker ATPG diagnosis → (cached) back-trace sub-graph →
+///   submit(design, log) → executor FIFO queue → per-worker ATPG diagnosis
+///     → (cached) back-trace sub-graph →
 ///     GNN policy with the registry's live framework → future<Response>
 ///
 /// Threading model:
@@ -123,10 +140,8 @@ class DiagnosisService {
   };
   QuantStatus live_quant_status() const;
 
-  /// Batcher queue-depth high-water mark (see Batcher::pending_high_water).
-  std::size_t batcher_high_water() const {
-    return batcher_.pending_high_water();
-  }
+  /// High-water mark of requests waiting in the executor queue.
+  std::size_t queue_high_water() const { return executor_.stats().max_queued; }
 
  private:
   /// Private stateful diagnosis context (one per concurrently running
@@ -136,29 +151,12 @@ class DiagnosisService {
 
   struct Pending {
     DesignState* state = nullptr;
-    sim::FailureLog log;
+    std::shared_ptr<const sim::FailureLog> log;  ///< Also the cache key's.
     std::shared_ptr<std::promise<DiagnosisResponse>> promise;
-    std::uint64_t request_id = 0;  ///< Assigned by submit(), rides the
-                                   ///< batcher into the worker span.
+    std::uint64_t request_id = 0;  ///< Assigned by submit().
     std::chrono::steady_clock::time_point t_submit;
-    std::chrono::steady_clock::time_point t_flush;  ///< Batcher hand-off.
   };
 
-  struct CacheKey {
-    const eval::Design* design = nullptr;
-    std::uint64_t fingerprint = 0;
-    bool operator==(const CacheKey&) const = default;
-  };
-  struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& k) const {
-      return static_cast<std::size_t>(
-          fnv1a64(&k.fingerprint, sizeof(k.fingerprint),
-                  reinterpret_cast<std::uintptr_t>(k.design) |
-                      0xcbf29ce484222325ull));
-    }
-  };
-
-  void flush_batch(std::vector<Pending>&& batch, FlushReason reason);
   void process(Pending& p);
   std::unique_ptr<WorkerContext> acquire_context(DesignState& state);
   void release_context(DesignState& state, std::unique_ptr<WorkerContext> c);
@@ -166,7 +164,8 @@ class DiagnosisService {
   ServiceOptions opts_;
   ModelRegistry::Handle model_;
   ServiceMetrics metrics_;
-  LruCache<CacheKey, graphx::SubGraph, CacheKeyHash> subgraph_cache_;
+  LruCache<SubGraphCacheKey, graphx::SubGraph, SubGraphCacheKeyHash>
+      subgraph_cache_;
 
   std::mutex designs_mu_;
   std::map<const eval::Design*, std::unique_ptr<DesignState>> designs_;
@@ -177,11 +176,10 @@ class DiagnosisService {
   std::uint64_t finished_ = 0;
   std::atomic<std::uint64_t> next_request_id_{1};
 
-  // Destruction order matters: ~batcher_ flushes pending items into
-  // executor_, ~executor_ runs every queued task to completion, and both
-  // still reference the members above — so these two stay last.
+  // Destruction order matters: ~executor_ runs every queued request to
+  // completion, and those tasks still use the members above — so it stays
+  // last.
   Executor executor_;
-  Batcher<Pending> batcher_;
 };
 
 /// Order- and content-sensitive fingerprint of a failure log (cache key).

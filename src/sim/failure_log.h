@@ -33,6 +33,7 @@ struct FailureLog {
   bool compacted = false;
   std::vector<Obs> fails;    ///< Populated when !compacted.
   std::vector<CObs> cfails;  ///< Populated when compacted.
+  bool operator==(const FailureLog&) const = default;
 
   bool empty() const { return fails.empty() && cfails.empty(); }
   std::size_t size() const {

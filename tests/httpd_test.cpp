@@ -216,7 +216,7 @@ TEST(AdminHttp, StatuszReportsBuildAndServiceShape) {
   EXPECT_NE(r.body.find("\"uptime_seconds\""), std::string::npos);
   EXPECT_NE(r.body.find("\"model_name\":\"default\""), std::string::npos);
   EXPECT_NE(r.body.find("\"num_threads\":2"), std::string::npos);
-  EXPECT_NE(r.body.find("\"batcher_pending_high_water\""), std::string::npos);
+  EXPECT_NE(r.body.find("\"queue_high_water\""), std::string::npos);
 }
 
 TEST(AdminHttp, TracezCarriesSpansAndExemplars) {

@@ -175,6 +175,76 @@ TEST(FailureLogText, CompactedEntriesBeyondUint16RoundTrip) {
   EXPECT_EQ(legacy.log.cfails[0].cycle, 65535u);
 }
 
+// Every served failure log goes through failure_log_from_text, so mutated
+// text must either be rejected with a message or parse to a log that
+// round-trips through to_text — never crash (ASan/UBSan legs run this too).
+void expect_rejected_or_round_trips(const std::string& text) {
+  const sim::FailureLogParseResult parsed = sim::failure_log_from_text(text);
+  if (!parsed.ok) {
+    EXPECT_FALSE(parsed.message.empty());
+    return;
+  }
+  EXPECT_TRUE(parsed.log.compacted ? parsed.log.fails.empty()
+                                   : parsed.log.cfails.empty());
+  const sim::FailureLogParseResult again =
+      sim::failure_log_from_text(sim::to_text(parsed.log));
+  ASSERT_TRUE(again.ok) << again.message;
+  EXPECT_TRUE(again.log == parsed.log) << text;
+}
+
+TEST(CorruptionFuzz, MutatedFailureLogTextFailsOrRoundTrips) {
+  sim::FailureLog bypass;
+  bypass.fails = {{0, 3}, {17, 5}, {200, 0}, {4294967295u, 12}};
+  sim::FailureLog compacted;
+  compacted.compacted = true;
+  compacted.cfails = {{4, 1, 9}, {77, 0, 2}, {3, 65536, 70000}};
+  const std::string texts[2] = {sim::to_text(bypass), sim::to_text(compacted)};
+  for (const std::string& text : texts) {
+    expect_rejected_or_round_trips(text);
+    for (std::size_t len = 0; len < text.size(); ++len) {
+      expect_rejected_or_round_trips(text.substr(0, len));
+    }
+  }
+
+  Rng rng(2026);
+  // Mostly bytes the format is made of, so mutants often stay parseable.
+  const std::string alphabet = "0123456789 \n\t-+xfailbypasscompacted";
+  const auto random_byte = [&]() -> char {
+    return rng.bernoulli(0.75)
+               ? alphabet[rng.next_below(alphabet.size())]
+               : static_cast<char>(rng.next_below(256));
+  };
+  int accepted = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::string& base = texts[rng.next_below(2)];
+    std::string mutant = base;
+    switch (trial % 3) {
+      case 0:  // Byte flips.
+        for (std::uint64_t k = 1 + rng.next_below(3); k > 0; --k) {
+          mutant[rng.next_below(mutant.size())] = random_byte();
+        }
+        break;
+      case 1:  // Truncation, then a few stray bytes.
+        mutant.resize(rng.next_below(mutant.size()));
+        for (std::uint64_t k = rng.next_below(3); k > 0; --k) {
+          mutant.push_back(random_byte());
+        }
+        break;
+      default: {  // Splice: a prefix of one text onto a suffix of either.
+        const std::string& other = texts[rng.next_below(2)];
+        mutant = base.substr(0, rng.next_below(base.size() + 1)) +
+                 other.substr(rng.next_below(other.size() + 1));
+        break;
+      }
+    }
+    expect_rejected_or_round_trips(mutant);
+    accepted += sim::failure_log_from_text(mutant).ok;
+  }
+  // Both outcomes must be exercised, or the fuzz checks nothing.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 3000);
+}
+
 // --- Model serialization -----------------------------------------------------------
 
 TEST(ModelSerialize, GraphClassifierRoundTripIsBitExact) {

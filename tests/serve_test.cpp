@@ -1,16 +1,15 @@
 // Tests of the concurrent diagnosis-serving subsystem (src/serve/):
-// executor semantics, micro-batcher size/deadline behaviour, LRU cache
-// eviction and accounting, latency histogram percentiles, model-registry
-// hot-swap under concurrent load, and — the acceptance bar — bit-identical
-// equivalence of served vs. sequential diagnosis while >= 4 worker threads
-// handle >= 64 concurrent requests with a mid-stream model hot-swap.
+// executor semantics, LRU cache eviction and accounting (and exact-log cache
+// keys), latency histogram percentiles, model-registry hot-swap under
+// concurrent load, shutdown with requests still queued, and — the acceptance
+// bar — bit-identical equivalence of served vs. sequential diagnosis while
+// >= 4 worker threads handle >= 64 concurrent requests with a mid-stream
+// model hot-swap.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "obs/exemplar.h"
 #include "eval/experiments.h"
 #include "eval/framework_io.h"
-#include "serve/batcher.h"
 #include "serve/cache.h"
 #include "serve/executor.h"
 #include "serve/metrics.h"
@@ -96,105 +94,6 @@ TEST(Executor, WaitIdleBlocksUntilQueueEmpty) {
   EXPECT_EQ(pool.queued(), 0u);
 }
 
-// --- Batcher -----------------------------------------------------------------
-
-/// Collects flushed batches and lets the test block until enough items
-/// arrived (the batcher flushes on its own thread).
-struct BatchCollector {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<std::vector<int>> batches;
-  std::vector<serve::FlushReason> reasons;  ///< Parallel to `batches`.
-  std::size_t items = 0;
-
-  void on_flush(std::vector<int>&& batch, serve::FlushReason reason) {
-    std::lock_guard<std::mutex> lock(mu);
-    items += batch.size();
-    batches.push_back(std::move(batch));
-    reasons.push_back(reason);
-    cv.notify_all();
-  }
-  bool wait_for_items(std::size_t n) {
-    std::unique_lock<std::mutex> lock(mu);
-    return cv.wait_for(lock, 5s, [&] { return items >= n; });
-  }
-};
-
-TEST(Batcher, FlushesWhenBatchFills) {
-  BatchCollector sink;
-  serve::Batcher<int>::Options opts;
-  opts.max_batch = 4;
-  opts.max_wait = 10min;  // Deadline effectively off: size must trigger.
-  serve::Batcher<int> batcher(opts,
-                              [&](std::vector<int>&& b, serve::FlushReason r) {
-                                sink.on_flush(std::move(b), r);
-                              });
-  for (int i = 0; i < 4; ++i) batcher.push(i);
-  ASSERT_TRUE(sink.wait_for_items(4));
-  std::lock_guard<std::mutex> lock(sink.mu);
-  ASSERT_EQ(sink.batches.size(), 1u);
-  EXPECT_EQ(sink.batches[0], (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(sink.reasons[0], serve::FlushReason::kSize);
-}
-
-TEST(Batcher, FlushesPartialBatchAtDeadline) {
-  BatchCollector sink;
-  serve::Batcher<int>::Options opts;
-  opts.max_batch = 64;  // Never fills: only the deadline can flush.
-  opts.max_wait = 20ms;
-  serve::Batcher<int> batcher(opts,
-                              [&](std::vector<int>&& b, serve::FlushReason r) {
-                                sink.on_flush(std::move(b), r);
-                              });
-  batcher.push(1);
-  batcher.push(2);
-  batcher.push(3);
-  ASSERT_TRUE(sink.wait_for_items(3));
-  std::lock_guard<std::mutex> lock(sink.mu);
-  ASSERT_EQ(sink.batches.size(), 1u);
-  EXPECT_EQ(sink.batches[0].size(), 3u);
-  EXPECT_EQ(sink.reasons[0], serve::FlushReason::kDeadline);
-}
-
-TEST(Batcher, SplitsOversizedBurstsIntoMaxBatchChunks) {
-  BatchCollector sink;
-  serve::Batcher<int>::Options opts;
-  opts.max_batch = 8;
-  opts.max_wait = 5ms;
-  serve::Batcher<int> batcher(opts,
-                              [&](std::vector<int>&& b, serve::FlushReason r) {
-                                sink.on_flush(std::move(b), r);
-                              });
-  for (int i = 0; i < 20; ++i) batcher.push(i);
-  ASSERT_TRUE(sink.wait_for_items(20));
-  std::lock_guard<std::mutex> lock(sink.mu);
-  std::size_t total = 0;
-  for (const auto& b : sink.batches) {
-    EXPECT_LE(b.size(), 8u);
-    total += b.size();
-  }
-  EXPECT_EQ(total, 20u);
-}
-
-TEST(Batcher, DestructorFlushesPending) {
-  BatchCollector sink;
-  {
-    serve::Batcher<int>::Options opts;
-    opts.max_batch = 64;
-    opts.max_wait = 10min;
-    serve::Batcher<int> batcher(opts,
-                                [&](std::vector<int>&& b,
-                                    serve::FlushReason r) {
-                                  sink.on_flush(std::move(b), r);
-                                });
-    batcher.push(42);
-  }  // Destruction must not lose the pending item.
-  std::lock_guard<std::mutex> lock(sink.mu);
-  EXPECT_EQ(sink.items, 1u);
-  ASSERT_EQ(sink.reasons.size(), 1u);
-  EXPECT_EQ(sink.reasons[0], serve::FlushReason::kShutdown);
-}
-
 // --- LRU cache ---------------------------------------------------------------
 
 TEST(LruCache, EvictsLeastRecentlyUsedAndCountsHits) {
@@ -232,6 +131,34 @@ TEST(LruCache, ZeroCapacityDisablesCaching) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+TEST(SubGraphCacheKey, FingerprintCollisionWithDifferentLogMisses) {
+  sim::FailureLog a;
+  a.fails = {{1, 2}, {3, 4}};
+  sim::FailureLog b;
+  b.fails = {{5, 6}};
+  sim::FailureLog a_compacted;  // Same entries as `a`, other mode.
+  a_compacted.compacted = true;
+  a_compacted.fails = a.fails;
+  auto key = [](const sim::FailureLog& log, std::uint64_t fingerprint) {
+    return serve::SubGraphCacheKey{
+        nullptr, fingerprint, std::make_shared<const sim::FailureLog>(log)};
+  };
+  // Every key carries a's fingerprint: a forced 64-bit collision.
+  const std::uint64_t fp = serve::failure_log_fingerprint(a);
+  serve::LruCache<serve::SubGraphCacheKey, int, serve::SubGraphCacheKeyHash>
+      cache(8);
+  cache.put(key(a, fp), std::make_shared<const int>(1));
+  EXPECT_EQ(cache.get(key(b, fp)), nullptr);
+  EXPECT_EQ(cache.get(key(a_compacted, fp)), nullptr);
+  // An equal log in its own allocation still hits.
+  ASSERT_NE(cache.get(key(a, fp)), nullptr);
+  // Colliding keys coexist, each with its own value.
+  cache.put(key(b, fp), std::make_shared<const int>(2));
+  EXPECT_EQ(*cache.get(key(a, fp)), 1);
+  EXPECT_EQ(*cache.get(key(b, fp)), 2);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
 // --- Metrics -----------------------------------------------------------------
 
 TEST(LatencyHistogram, PercentilesAreOrderedAndBracketed) {
@@ -252,8 +179,6 @@ TEST(LatencyHistogram, PercentilesAreOrderedAndBracketed) {
 TEST(ServiceMetrics, SnapshotTracksCountersCoherently) {
   serve::ServiceMetrics metrics;
   for (int i = 0; i < 10; ++i) metrics.on_request();
-  metrics.on_batch(6, serve::FlushReason::kSize);
-  metrics.on_batch(4, serve::FlushReason::kDeadline);
   for (int i = 0; i < 10; ++i) {
     metrics.on_cache(i % 2 == 0);
     metrics.on_model_version(i < 5 ? 1 : 2);
@@ -264,11 +189,6 @@ TEST(ServiceMetrics, SnapshotTracksCountersCoherently) {
   EXPECT_EQ(s.completed, 10u);
   EXPECT_EQ(s.errors, 1u);
   EXPECT_EQ(s.in_flight, 0u);
-  EXPECT_EQ(s.batches, 2u);
-  EXPECT_DOUBLE_EQ(s.mean_batch, 5.0);
-  EXPECT_EQ(s.flush_size, 1u);
-  EXPECT_EQ(s.flush_deadline, 1u);
-  EXPECT_EQ(s.flush_shutdown, 0u);
   EXPECT_EQ(s.cache_hits, 5u);
   EXPECT_EQ(s.cache_misses, 5u);
   EXPECT_DOUBLE_EQ(s.cache_hit_rate, 0.5);
@@ -278,9 +198,6 @@ TEST(ServiceMetrics, SnapshotTracksCountersCoherently) {
   EXPECT_NE(table.find("p99"), std::string::npos);
   const std::string js = metrics.to_json();
   EXPECT_NE(js.find("\"requests\":10"), std::string::npos);
-  EXPECT_NE(js.find("\"flush_reasons\":{\"size\":1,\"deadline\":1,"
-                    "\"shutdown\":0}"),
-            std::string::npos);
 }
 
 // --- Model registry ----------------------------------------------------------
@@ -445,8 +362,6 @@ TEST(DiagnosisService, ServedIsBitIdenticalToDirectUnderLoadWithHotSwap) {
 
   serve::ServiceOptions opts;
   opts.num_threads = 4;
-  opts.max_batch = 8;
-  opts.max_wait = std::chrono::microseconds(500);
   serve::DiagnosisService service(registry, opts);
   service.register_design(*fx.design);
 
@@ -502,8 +417,38 @@ TEST(DiagnosisService, ServedIsBitIdenticalToDirectUnderLoadWithHotSwap) {
   // Each distinct log back-traces at most... once per concurrent dogpile;
   // with 4 rounds of 16 logs there must be real hits.
   EXPECT_GT(s.cache_hits, 0u);
-  EXPECT_GE(s.batches, (n * kRounds) / opts.max_batch);
   EXPECT_GT(s.hot_swaps_observed, 0u);
+}
+
+TEST(DiagnosisService, DestructorCompletesQueuedRequests) {
+  ServedFixture fx(8);
+  std::vector<serve::DiagnosisResponse> direct;
+  for (const sim::FailureLog& log : fx.logs) {
+    direct.push_back(
+        serve::DiagnosisService::diagnose_direct(*fx.design, fx.fw, log));
+  }
+  serve::ModelRegistry registry;
+  registry.publish("default", fx.fw);
+  constexpr int kRounds = 4;
+  std::vector<std::future<serve::DiagnosisResponse>> futures;
+  std::uint64_t completed_before_destroy = 0;
+  {
+    serve::ServiceOptions opts;
+    opts.num_threads = 1;  // One worker: the rest of the burst queues.
+    serve::DiagnosisService service(registry, opts);
+    service.register_design(*fx.design);
+    for (int r = 0; r < kRounds; ++r) {
+      for (const sim::FailureLog& log : fx.logs) {
+        futures.push_back(service.submit(*fx.design, log));
+      }
+    }
+    completed_before_destroy = service.metrics().snapshot().completed;
+  }  // No drain(): ~DiagnosisService must finish every accepted request.
+  EXPECT_LT(completed_before_destroy, futures.size());
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(0s), std::future_status::ready) << i;
+    expect_same_response(futures[i].get(), direct[i % fx.logs.size()]);
+  }
 }
 
 TEST(DiagnosisService, CachedSubgraphKeepsResultsIdentical) {
@@ -609,18 +554,18 @@ TEST(DiagnosisService, ExemplarStoreCapturesServedRequests) {
 
   const std::vector<obs::RequestExemplar> kept = store.snapshot();
   ASSERT_FALSE(kept.empty());
-  bool saw_wait = false, saw_diag = false;
+  bool saw_queue = false, saw_diag = false;
   for (const obs::RequestExemplar& e : kept) {
     EXPECT_GT(e.request_id, 0u);
     EXPECT_TRUE(e.ok);
     // The queue/service split must agree with the total.
     EXPECT_NEAR(e.total_ms, e.queue_ms + e.service_ms, 1e-9);
     for (const obs::ExemplarStage& s : e.stages) {
-      saw_wait = saw_wait || std::string(s.name) == "serve.batcher_wait";
+      saw_queue = saw_queue || std::string(s.name) == "serve.queue";
       saw_diag = saw_diag || std::string(s.name) == "serve.diagnose";
     }
   }
-  EXPECT_TRUE(saw_wait);
+  EXPECT_TRUE(saw_queue);
   EXPECT_TRUE(saw_diag);
   store.clear();
 }

@@ -40,11 +40,11 @@
 //             generated samples; with --inference int8 the saved quantized
 //             twin is evaluated side by side with the fp32 path.
 //   serve     --benchmark <name> --config <cfg> --framework framework.m3dfl
-//             --logs a.faillog,b.faillog,... [--threads N] [--batch N]
-//             [--wait-us N] [--repeat N] [--quiet] [--admin-port N]
-//             [--linger-ms N] [--inference fp32|int8]
+//             --logs a.faillog,b.faillog,... [--threads N] [--repeat N]
+//             [--quiet] [--admin-port N] [--linger-ms N]
+//             [--inference fp32|int8]
 //             Batch-diagnose the logs through the concurrent serving stack
-//             (src/serve/): micro-batching, executor fan-out, sub-graph
+//             (src/serve/): executor queue and worker pool, sub-graph
 //             cache, and a metrics table at the end. With --admin-port the
 //             process exposes the live-introspection plane (/healthz,
 //             /readyz, /metrics, /metrics.json, /statusz, /tracez) on
@@ -141,9 +141,8 @@ int usage() {
       "  eval     --benchmark B --framework F [--config C] [--samples N]\n"
       "           [--seed N] [--inference fp32|int8]\n"
       "  serve    --benchmark B --config C --framework framework.m3dfl\n"
-      "           --logs F1,F2,... [--threads N] [--batch N] [--wait-us N]\n"
-      "           [--repeat N] [--quiet] [--admin-port N] [--linger-ms N]\n"
-      "           [--inference fp32|int8]\n"
+      "           --logs F1,F2,... [--threads N] [--repeat N] [--quiet]\n"
+      "           [--admin-port N] [--linger-ms N] [--inference fp32|int8]\n"
       "all subcommands also take [--trace out.json] [--metrics-json out.json|-]\n"
       "[--profile out.folded] [--counters] [--log-json]\n"
       "[--sim-backend event|bitpar] [--simd scalar|sse2|avx2]\n"
@@ -712,12 +711,9 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
     *out = *parsed;
     return true;
   };
-  std::uint64_t threads = opts.num_threads, batch = opts.max_batch;
-  std::uint64_t wait_us =
-      static_cast<std::uint64_t>(opts.max_wait.count());
+  std::uint64_t threads = opts.num_threads;
   std::uint64_t admin_port = 0, linger_ms = 0;
-  if (!numeric("threads", 1, &threads) || !numeric("batch", 1, &batch) ||
-      !numeric("wait-us", 0, &wait_us) || !numeric("repeat", 1, &repeat) ||
+  if (!numeric("threads", 1, &threads) || !numeric("repeat", 1, &repeat) ||
       !numeric("admin-port", 0, &admin_port) ||
       !numeric("linger-ms", 0, &linger_ms)) {
     return usage();
@@ -728,8 +724,6 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
     return usage();
   }
   opts.num_threads = threads;
-  opts.max_batch = batch;
-  opts.max_wait = std::chrono::microseconds(wait_us);
   if (!parse_inference_flag(flags, opts.inference)) return usage();
   const bool quiet = flags.count("quiet") > 0;
 
@@ -1017,8 +1011,8 @@ int main(int argc, char** argv) {
              "inference"},
             {}};
   } else if (cmd == "serve") {
-    spec = {{"benchmark", "config", "framework", "logs", "threads", "batch",
-             "wait-us", "repeat", "admin-port", "linger-ms", "inference"},
+    spec = {{"benchmark", "config", "framework", "logs", "threads", "repeat",
+             "admin-port", "linger-ms", "inference"},
             {"quiet"}};
   } else {
     M3DFL_LOG_ERROR("cli", "unknown subcommand '%s'", cmd.c_str());
