@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/rng.h"
 #include "m3d/miv.h"
@@ -27,10 +28,18 @@ Netlist make_benchmark(std::uint64_t seed, std::uint32_t gates = 400) {
   return netlist::generate_netlist(p);
 }
 
+// gtest names each case after a byte dump of the parameter and copies it
+// member-wise, so implicit padding would print whatever the heap held and
+// the case names would change from run to run. The padding is a zeroed
+// member instead, which keeps every byte, and so every name, fixed.
 struct AlgoCase {
+  AlgoCase(PartitionAlgo a, std::uint64_t s) : algo(a), seed(s) {}
   PartitionAlgo algo;
+  std::uint8_t pad[7] = {};
   std::uint64_t seed;
 };
+static_assert(sizeof(AlgoCase) == 16 &&
+              std::has_unique_object_representations_v<AlgoCase>);
 
 class PartitionProperty : public ::testing::TestWithParam<AlgoCase> {};
 
