@@ -8,7 +8,6 @@
 // JSON schema) for the CI regression gate (tools/bench_compare).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -21,6 +20,7 @@
 #include "netlist/generators.h"
 #include "obs/build_info.h"
 #include "obs/prof/counters.h"
+#include "obs/stage.h"
 #include "sim/bitpar/arena.h"
 #include "sim/bitpar/bitpar_sim.h"
 #include "sim/bitpar/dispatch.h"
@@ -28,13 +28,8 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using namespace m3dfl;
 using sim::bitpar::BitParallelSimulator;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 struct Run {
   std::string name;
@@ -158,7 +153,7 @@ int main() {
     std::vector<std::uint64_t> keys;
     const std::size_t W = fsim.num_words();
     const HwRegion hw;
-    const auto t0 = Clock::now();
+    M3DFL_STAGE(stage, "bench.faultsim_event");
     for (std::size_t j = 0; j < jobs.size(); ++j) {
       const bool detected = fsim.observed_diff(jobs[j], diff, &touched);
       keys.clear();
@@ -178,7 +173,7 @@ int main() {
       event_digests[j] = keys_digest(detected, keys);
     }
     runs.push_back(
-        {"faultsim/event", jobs.size(), seconds_since(t0), hw.diff()});
+        {"faultsim/event", jobs.size(), stage.stop(), hw.diff()});
   }
 
   // Untimed equivalence pass: every job's detect set must match the event
@@ -206,14 +201,14 @@ int main() {
   for (const std::size_t batch :
        {std::size_t{1}, std::size_t{64}, std::size_t{256}, std::size_t{512}}) {
     const HwRegion hw;
-    const auto t0 = Clock::now();
+    M3DFL_STAGE(stage, "bench.faultsim_bitpar");
     for (std::size_t base = 0; base < jobs.size(); base += batch) {
       const std::size_t count = std::min(batch, jobs.size() - base);
       bp.run(std::span<const sim::InjectedFault>(jobs).subspan(base, count),
              ws, res);
     }
     runs.push_back({"faultsim/bitpar_batch" + std::to_string(batch),
-                    jobs.size(), seconds_since(t0), hw.diff()});
+                    jobs.size(), stage.stop(), hw.diff()});
     std::printf("  batch %3zu: %.1fM row words, %.2fM gate evals\n", batch,
                 ws.stats.lane_words_evaluated / 1e6, ws.stats.gate_evals / 1e6);
     ws.stats = sim::bitpar::BitParStats{};

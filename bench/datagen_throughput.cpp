@@ -7,7 +7,6 @@
 // BENCH_datagen_throughput.json (google-benchmark JSON schema) so CI trend
 // tooling can ingest the record.
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -25,24 +24,21 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using namespace m3dfl;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 struct Run {
   std::string name;
   std::size_t items = 0;
-  double wall_seconds = 0.0;
-  // Tracer-clock window of the run, for attributing spans to it.
+  // Tracer-clock window of the run: its wall time, and the window its
+  // spans are attributed by.
   std::uint64_t t0_ns = 0;
   std::uint64_t t1_ns = 0;
 
+  double wall_seconds() const {
+    return static_cast<double>(t1_ns - t0_ns) * 1e-9;
+  }
   double per_second() const {
-    return wall_seconds > 0.0 ? static_cast<double>(items) / wall_seconds
-                              : 0.0;
+    return t1_ns > t0_ns ? static_cast<double>(items) / wall_seconds() : 0.0;
   }
 };
 
@@ -63,7 +59,7 @@ void json_run(std::ofstream& os, const Run& r,
      << "      \"name\": \"" << r.name << "\",\n"
      << "      \"run_type\": \"iteration\",\n"
      << "      \"iterations\": " << r.items << ",\n"
-     << "      \"real_time\": " << r.wall_seconds * 1e3 << ",\n"
+     << "      \"real_time\": " << r.wall_seconds() * 1e3 << ",\n"
      << "      \"time_unit\": \"ms\",\n"
      << "      \"items_per_second\": " << r.per_second() << ",\n"
      << "      \"stages\": [";
@@ -125,20 +121,16 @@ int main() {
   dopts.num_samples = num_samples;
   dopts.seed = 2026;
   dopts.num_threads = 1;
-  Run dg_seq{"datagen/1thread", num_samples, 0.0};
+  Run dg_seq{"datagen/1thread", num_samples};
   dg_seq.t0_ns = obs::Tracer::now_ns();
-  auto t0 = Clock::now();
   const eval::Dataset ds_seq = eval::generate_dataset(design, dopts);
-  dg_seq.wall_seconds = seconds_since(t0);
   dg_seq.t1_ns = obs::Tracer::now_ns();
   runs.push_back(dg_seq);
 
   dopts.num_threads = 0;  // hardware concurrency
-  Run dg_par{"datagen/" + std::to_string(hw) + "threads", num_samples, 0.0};
+  Run dg_par{"datagen/" + std::to_string(hw) + "threads", num_samples};
   dg_par.t0_ns = obs::Tracer::now_ns();
-  t0 = Clock::now();
   const eval::Dataset ds_par = eval::generate_dataset(design, dopts);
-  dg_par.wall_seconds = seconds_since(t0);
   dg_par.t1_ns = obs::Tracer::now_ns();
   runs.push_back(dg_par);
 
@@ -150,23 +142,19 @@ int main() {
   // Stage 2: fault-dictionary signature campaign.
   diag::FaultDictionaryOptions fopts;
   fopts.num_threads = 1;
-  Run di_seq{"dictionary/1thread", design.sites.size(), 0.0};
+  Run di_seq{"dictionary/1thread", design.sites.size()};
   di_seq.t0_ns = obs::Tracer::now_ns();
-  t0 = Clock::now();
   const diag::FaultDictionary dict_seq(design.nl, design.sites, *design.fsim,
                                        fopts);
-  di_seq.wall_seconds = seconds_since(t0);
   di_seq.t1_ns = obs::Tracer::now_ns();
   runs.push_back(di_seq);
 
   fopts.num_threads = 0;
   Run di_par{"dictionary/" + std::to_string(hw) + "threads",
-             design.sites.size(), 0.0};
+             design.sites.size()};
   di_par.t0_ns = obs::Tracer::now_ns();
-  t0 = Clock::now();
   const diag::FaultDictionary dict_par(design.nl, design.sites, *design.fsim,
                                        fopts);
-  di_par.wall_seconds = seconds_since(t0);
   di_par.t1_ns = obs::Tracer::now_ns();
   runs.push_back(di_par);
 
@@ -181,23 +169,19 @@ int main() {
   topts.epochs = fast ? 4 : 12;
   topts.num_threads = 1;
   gnn::GraphClassifier m_seq(13, {16, 16}, 2, 7);
-  Run tr_seq{"train/1thread", labeled.size(), 0.0};
+  Run tr_seq{"train/1thread", labeled.size()};
   tr_seq.t0_ns = obs::Tracer::now_ns();
-  t0 = Clock::now();
   const gnn::TrainStats s_seq = gnn::train_graph_classifier(m_seq, labeled,
                                                             topts);
-  tr_seq.wall_seconds = seconds_since(t0);
   tr_seq.t1_ns = obs::Tracer::now_ns();
   runs.push_back(tr_seq);
 
   topts.num_threads = 0;
   gnn::GraphClassifier m_par(13, {16, 16}, 2, 7);
-  Run tr_par{"train/" + std::to_string(hw) + "threads", labeled.size(), 0.0};
+  Run tr_par{"train/" + std::to_string(hw) + "threads", labeled.size()};
   tr_par.t0_ns = obs::Tracer::now_ns();
-  t0 = Clock::now();
   const gnn::TrainStats s_par = gnn::train_graph_classifier(m_par, labeled,
                                                             topts);
-  tr_par.wall_seconds = seconds_since(t0);
   tr_par.t1_ns = obs::Tracer::now_ns();
   runs.push_back(tr_par);
 
@@ -209,20 +193,18 @@ int main() {
   TablePrinter t;
   t.set_header({"Stage", "Items", "Wall (s)", "Items/s"});
   for (const Run& r : runs) {
-    t.add_row({r.name, std::to_string(r.items), fmt(r.wall_seconds, 3),
+    t.add_row({r.name, std::to_string(r.items), fmt(r.wall_seconds(), 3),
                fmt(r.per_second(), 1)});
   }
   t.print();
+  auto speedup = [&runs](std::size_t seq) {
+    const double par = runs[seq + 1].wall_seconds();
+    return par > 0 ? runs[seq].wall_seconds() / par : 0.0;
+  };
   std::printf(
       "\nSpeedup at %zu threads: datagen %.2fx, dictionary %.2fx, "
       "train %.2fx\n",
-      hw,
-      runs[1].wall_seconds > 0 ? runs[0].wall_seconds / runs[1].wall_seconds
-                               : 0.0,
-      runs[3].wall_seconds > 0 ? runs[2].wall_seconds / runs[3].wall_seconds
-                               : 0.0,
-      runs[5].wall_seconds > 0 ? runs[4].wall_seconds / runs[5].wall_seconds
-                               : 0.0);
+      hw, speedup(0), speedup(2), speedup(4));
   std::puts("(speedups are per-machine; a 1-core runner reports ~1.0x)");
 
   obs::Tracer::instance().set_enabled(false);

@@ -6,7 +6,6 @@
 // smoke. Emits BENCH_partition_campaign.json (google-benchmark JSON schema)
 // for the CI regression gate (tools/bench_compare).
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -19,17 +18,13 @@
 #include "diagnosis/dictionary.h"
 #include "netlist/generators.h"
 #include "obs/build_info.h"
+#include "obs/stage.h"
 #include "partition/hier.h"
 #include "sim/fault_sim.h"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using namespace m3dfl;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 struct Run {
   std::string name;
@@ -78,13 +73,13 @@ int main() {
   // so the sample is long enough for the regression gate to be stable.
   {
     const std::size_t reps = fast ? 50 : 20;
-    const auto t0 = Clock::now();
+    M3DFL_STAGE(stage, "bench.partition_build");
     for (std::size_t i = 0; i + 1 < reps; ++i) {
       const part::HierPartition warm(nl, sites, {region_gates});
     }
     const part::HierPartition hp(nl, sites, {region_gates});
-    runs.push_back({"partition/hier_build", nl.num_gates() * reps,
-                    seconds_since(t0)});
+    runs.push_back(
+        {"partition/hier_build", nl.num_gates() * reps, stage.stop()});
     std::printf("partition: %zu regions (max %zu gates), %zu cut edges\n\n",
                 hp.num_regions(), hp.max_region_gates(), hp.cut_edges());
   }
@@ -112,9 +107,9 @@ int main() {
     opts.num_threads = v.threads;
     opts.partition_max_gates = v.partition ? region_gates : 0;
     opts.spill_path = v.spill;
-    const auto t0 = Clock::now();
+    M3DFL_STAGE(stage, "bench.dictionary");
     const diag::FaultDictionary dict(nl, sites, fsim, opts);
-    const double wall = seconds_since(t0);
+    const double wall = stage.stop();
     if (golden_fp == 0) {
       golden_fp = dict.fingerprint();
       entries = dict.num_entries();

@@ -21,7 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/prof/counters.h"
 #include "obs/prof/profiler.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "serve/model_registry.h"
 #include "serve/service.h"
 
@@ -193,8 +193,7 @@ int main(int argc, char** argv) {
   Run seq;
   seq.name = "sequential";
   {
-    M3DFL_OBS_COUNTERS(ctrs, "bench.sequential");
-    const auto t0 = Clock::now();
+    M3DFL_STAGE(stage, "bench.sequential");
     for (int r = 0; r < repeat; ++r) {
       for (const eval::Sample& s : ds.samples) {
         const auto t1 = Clock::now();
@@ -204,7 +203,7 @@ int main(int argc, char** argv) {
         seq.requests += resp.ok;
       }
     }
-    seq.wall_seconds = seconds_since(t0);
+    seq.wall_seconds = stage.stop();
   }
 
   // Served: all requests in flight at once through the service. The row
@@ -225,10 +224,9 @@ int main(int argc, char** argv) {
     service.register_design(design);
 
     // The served run's cycles burn on the executor workers, which the
-    // "serve.process" CounterScope inside the service already attributes;
-    // this scope only measures the submit/collect shell on the main thread.
-    M3DFL_OBS_COUNTERS(ctrs, "bench.served");
-    const auto t0 = Clock::now();
+    // service's own "serve.process" stage already attributes; this stage's
+    // counters only measure the submit/collect shell on the main thread.
+    M3DFL_STAGE(stage, "bench.served");
     std::vector<std::future<serve::DiagnosisResponse>> futures;
     futures.reserve(ds.samples.size() * static_cast<std::size_t>(repeat));
     for (int r = 0; r < repeat; ++r) {
@@ -241,7 +239,7 @@ int main(int argc, char** argv) {
       served.latencies.push_back(resp.seconds);
       served.requests += resp.ok;
     }
-    served.wall_seconds = seconds_since(t0);
+    served.wall_seconds = stage.stop();
 
     const serve::MetricsSnapshot m = service.metrics().snapshot();
     std::printf("service: executor queue high-water %zu, cache hit rate "
@@ -290,9 +288,8 @@ int main(int argc, char** argv) {
     const auto& fp32_model = fw.tier.model();
     const auto& int8_model = fw.quant->tier;
     {
-      M3DFL_OBS_COUNTERS(ctrs, "bench.inference_fp32");
       for (const graphx::SubGraph* g : subs) fp32_model.predict_probs(*g);
-      const auto t0 = Clock::now();
+      M3DFL_STAGE(stage, "bench.inference_fp32");
       for (int r = 0; r < rounds; ++r) {
         for (const graphx::SubGraph* g : subs) {
           if (r % 16 == 0) {
@@ -305,12 +302,11 @@ int main(int argc, char** argv) {
           }
         }
       }
-      inf_fp32.wall_seconds = seconds_since(t0);
+      inf_fp32.wall_seconds = stage.stop();
     }
     {
-      M3DFL_OBS_COUNTERS(ctrs, "bench.inference_int8");
       for (const graphx::SubGraph* g : subs) int8_model.predict_probs(*g);
-      const auto t0 = Clock::now();
+      M3DFL_STAGE(stage, "bench.inference_int8");
       for (int r = 0; r < rounds; ++r) {
         for (const graphx::SubGraph* g : subs) {
           if (r % 16 == 0) {
@@ -323,7 +319,7 @@ int main(int argc, char** argv) {
           }
         }
       }
-      inf_int8.wall_seconds = seconds_since(t0);
+      inf_int8.wall_seconds = stage.stop();
     }
   }
 

@@ -5,7 +5,7 @@
 
 #include "obs/metrics.h"
 #include "obs/prof/profiler.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 
 namespace m3dfl {
 
@@ -93,14 +93,9 @@ void Executor::worker_loop() {
     queue_.pop_front();
     ++active_;
     lock.unlock();
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-      M3DFL_OBS_SPAN(span, "executor.task");
-      task();  // packaged_task captures exceptions into the future.
-    }
-    const double busy = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
+    M3DFL_STAGE(stage, "executor.task");
+    task();  // packaged_task captures exceptions into the future.
+    const double busy = stage.stop();
     lock.lock();
     --active_;
     ++tasks_done_;

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
+
+#include "obs/stage.h"
 
 namespace m3dfl::core {
 
@@ -11,16 +12,18 @@ using netlist::Tier;
 PolicyOutcome apply_policy(const DiagnosisReport& report, const SubGraph& sub,
                            const PolicyModels& models,
                            const PolicyConfig& config) {
-  const auto start = std::chrono::steady_clock::now();
+  M3DFL_STAGE(stage, "core.policy");
   PolicyOutcome out;
   out.report.seconds = report.seconds;
 
   // Step 1: MIV prioritization. Candidates matching a predicted-faulty MIV
   // go to the top of the list and can never be pruned afterwards.
   if (config.use_miv_pinpointer && models.miv_q != nullptr) {
+    M3DFL_STAGE(miv_stage, "gnn.miv");
     out.predicted_mivs = select_faulty_mivs(
         sub, models.miv_q->predict_miv(sub), config.miv_threshold, 3);
   } else if (config.use_miv_pinpointer && models.miv != nullptr) {
+    M3DFL_STAGE(miv_stage, "gnn.miv");
     out.predicted_mivs =
         models.miv->predict_faulty_mivs(sub, config.miv_threshold);
   }
@@ -41,19 +44,21 @@ PolicyOutcome apply_policy(const DiagnosisReport& report, const SubGraph& sub,
     out.report.candidates = std::move(miv_first);
     out.report.candidates.insert(out.report.candidates.end(), rest.begin(),
                                  rest.end());
-    const auto end = std::chrono::steady_clock::now();
-    out.seconds = std::chrono::duration<double>(end - start).count();
+    out.seconds = stage.stop();
     return out;
   }
 
   // Step 2: tier prediction and confidence.
   TierPredictor::Prediction pred;
-  if (models.tier_q != nullptr) {
-    const std::vector<double> p = models.tier_q->predict(sub);
-    pred.p_bottom = p[TierPredictor::label_of(Tier::kBottom)];
-    pred.p_top = p[TierPredictor::label_of(Tier::kTop)];
-  } else {
-    pred = models.tier->predict(sub);
+  {
+    M3DFL_STAGE(tier_stage, "gnn.tier");
+    if (models.tier_q != nullptr) {
+      const std::vector<double> p = models.tier_q->predict(sub);
+      pred.p_bottom = p[TierPredictor::label_of(Tier::kBottom)];
+      pred.p_top = p[TierPredictor::label_of(Tier::kTop)];
+    } else {
+      pred = models.tier->predict(sub);
+    }
   }
   out.predicted_tier = pred.tier();
   out.confidence = pred.confidence();
@@ -62,10 +67,12 @@ PolicyOutcome apply_policy(const DiagnosisReport& report, const SubGraph& sub,
   bool do_prune = false;
   if (out.high_confidence) {
     if (config.use_classifier && models.classifier_q != nullptr) {
+      M3DFL_STAGE(classifier_stage, "gnn.classifier");
       do_prune =
           models.classifier_q->predict(sub)[PruneClassifier::kPrune] >=
           config.classifier_threshold;
     } else if (config.use_classifier && models.classifier != nullptr) {
+      M3DFL_STAGE(classifier_stage, "gnn.classifier");
       do_prune = models.classifier->should_prune(
           sub, config.classifier_threshold);
     } else {
@@ -80,9 +87,7 @@ PolicyOutcome apply_policy(const DiagnosisReport& report, const SubGraph& sub,
     out.report.candidates = std::move(miv_first);
     out.report.candidates.insert(out.report.candidates.end(), rest.begin(),
                                  rest.end());
-    const auto end_early = std::chrono::steady_clock::now();
-    out.seconds =
-        std::chrono::duration<double>(end_early - start).count();
+    out.seconds = stage.stop();
     return out;
   }
   std::vector<Candidate> faulty_tier, other_tier;
@@ -107,8 +112,7 @@ PolicyOutcome apply_policy(const DiagnosisReport& report, const SubGraph& sub,
                                  other_tier.begin(), other_tier.end());
   }
 
-  const auto end = std::chrono::steady_clock::now();
-  out.seconds = std::chrono::duration<double>(end - start).count();
+  out.seconds = stage.stop();
   return out;
 }
 

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <chrono>
 #include <future>
 
 #include "common/executor.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 
 namespace m3dfl::diag {
 
@@ -118,7 +117,8 @@ std::vector<GateId> Diagnoser::collect_suspect_gates(const FailureLog& log) {
   // pass the cone test, so its count stays 0 either way). count[] slots are
   // disjoint across regions/ranges, which makes the parallel fan-out
   // deterministic: the merged counts are identical at every thread count.
-  std::vector<std::uint32_t> count(num_gates, 0);
+  std::vector<std::uint32_t>& count = suspect_count_;
+  count.assign(num_gates, 0);
   auto count_gates = [&](std::span<const GateId> gates) {
     for (const Response& r : responses) {
       for (GateId g : gates) {
@@ -154,7 +154,7 @@ std::vector<GateId> Diagnoser::collect_suspect_gates(const FailureLog& log) {
     if (threads <= 1 || active.size() < 2) {
       for (std::uint32_t r : active) count_gates(partition_->region(r).gates);
     } else {
-      Executor exec(std::min(threads, active.size()), "diag.backtrace");
+      Executor exec(std::min(threads, active.size()), "diag.suspects");
       std::vector<std::future<void>> done;
       done.reserve(active.size());
       for (std::uint32_t r : active) {
@@ -166,7 +166,7 @@ std::vector<GateId> Diagnoser::collect_suspect_gates(const FailureLog& log) {
   } else if (threads > 1 && num_gates >= 4096) {
     const std::size_t num_chunks = std::min<std::size_t>(num_gates, threads * 4);
     const std::size_t chunk = (num_gates + num_chunks - 1) / num_chunks;
-    Executor exec(threads, "diag.backtrace");
+    Executor exec(threads, "diag.suspects");
     std::vector<std::future<void>> done;
     for (std::size_t lo = 0; lo < num_gates; lo += chunk) {
       const GateId hi =
@@ -202,17 +202,22 @@ std::vector<GateId> Diagnoser::collect_suspect_gates(const FailureLog& log) {
     }
   } else {
     // Multiple defects: any gate explaining at least one response is a
-    // suspect; rank by how much of the log it could explain.
+    // suspect.
     for (GateId g = 0; g < num_gates; ++g) {
       if (count[g] > 0) suspects.push_back(g);
     }
-    std::stable_sort(suspects.begin(), suspects.end(),
-                     [&count](GateId a, GateId b) {
-                       return count[a] > count[b];
-                     });
   }
   if (suspects.size() > opts_.max_suspects) {
+    // Over the cap: keep the best-explaining suspects, then restore id
+    // order.
+    std::nth_element(suspects.begin(), suspects.begin() + opts_.max_suspects,
+                     suspects.end(), by_evidence());
     suspects.resize(opts_.max_suspects);
+    std::sort(suspects.begin(), suspects.end());
+  }
+  if (opts_.multifault) {
+    // Multiple defects: rank by how much of the log each could explain.
+    std::sort(suspects.begin(), suspects.end(), by_evidence());
   }
   return suspects;
 }
@@ -245,23 +250,36 @@ std::vector<Candidate> Diagnoser::score_candidates(
 
   // Candidate fault sites: stems of the suspects plus the branches they
   // drive. Deduplicated by construction (each site enumerated once).
-  std::vector<netlist::SiteId> cand_sites;
-  cand_sites.reserve(suspects.size() * 3);
-  std::vector<std::uint8_t> is_suspect(nl_->num_gates(), 0);
-  for (GateId d : suspects) is_suspect[d] = 1;
-  for (GateId d : suspects) {
-    cand_sites.push_back(sites_->stem_of(d));
+  auto add_sites = [this](GateId d, std::vector<netlist::SiteId>& out) {
+    out.push_back(sites_->stem_of(d));
     for (GateId g : nl_->gate(d).fanout) {
       const auto& fanin = nl_->gate(g).fanin;
       for (std::size_t k = 0; k < fanin.size(); ++k) {
         if (fanin[k] == d) {
-          cand_sites.push_back(sites_->branch_of(g, static_cast<int>(k)));
+          out.push_back(sites_->branch_of(g, static_cast<int>(k)));
         }
       }
     }
-  }
+  };
+  std::vector<netlist::SiteId> cand_sites;
+  cand_sites.reserve(suspects.size() * 3);
+  for (GateId d : suspects) add_sites(d, cand_sites);
   if (cand_sites.size() > opts_.max_suspects) {
-    cand_sites.resize(opts_.max_suspects);
+    // Over the cap: keep whole suspects, best evidence first, while their
+    // sites fit; the survivors' sites stay in suspect order.
+    std::vector<GateId> ranked = suspects;
+    std::sort(ranked.begin(), ranked.end(), by_evidence());
+    std::vector<std::uint8_t> keep(nl_->num_gates(), 0);
+    std::vector<netlist::SiteId> sites;
+    for (GateId d : ranked) {
+      add_sites(d, sites);
+      if (sites.size() > opts_.max_suspects) break;
+      keep[d] = 1;
+    }
+    cand_sites.clear();
+    for (GateId d : suspects) {
+      if (keep[d]) add_sites(d, cand_sites);
+    }
   }
 
   signatures_.clear();
@@ -574,41 +592,19 @@ DiagnosisReport Diagnoser::assemble_multifault(std::vector<Candidate> scored,
 
 DiagnosisReport Diagnoser::diagnose(const FailureLog& log) {
   assert(fsim_ && "bind() a FaultSimulator before diagnosing");
-  using clock = std::chrono::steady_clock;
-  auto& reg = obs::MetricsRegistry::instance();
-  static obs::LatencyHistogram& bt_hist = reg.histogram("diag.backtrace");
-  static obs::LatencyHistogram& score_hist = reg.histogram("diag.score");
-  static obs::LatencyHistogram& rank_hist = reg.histogram("diag.rank");
-  auto seconds_since = [](clock::time_point t0) {
-    return std::chrono::duration<double>(clock::now() - t0).count();
-  };
-
-  const auto start = clock::now();
-  DiagnosisReport report;
-  if (!log.empty()) {
-    std::vector<GateId> suspects;
-    {
-      M3DFL_OBS_SPAN(span, "diag.backtrace");
-      const auto t0 = clock::now();
-      suspects = collect_suspect_gates(log);
-      bt_hist.record(seconds_since(t0));
-    }
-    std::vector<Candidate> scored;
-    {
-      M3DFL_OBS_SPAN(span, "diag.score");
-      const auto t0 = clock::now();
-      scored = score_candidates(log, suspects);
-      score_hist.record(seconds_since(t0));
-    }
-    {
-      M3DFL_OBS_SPAN(span, "diag.rank");
-      const auto t0 = clock::now();
-      report = opts_.multifault ? assemble_multifault(std::move(scored), log)
-                                : assemble_single(std::move(scored));
-      rank_hist.record(seconds_since(t0));
-    }
-  }
-  report.seconds = std::chrono::duration<double>(clock::now() - start).count();
+  // T_ATPG is the sum of the three stages: nothing else runs in between.
+  if (log.empty()) return {};
+  M3DFL_STAGE(suspects_stage, "diag.suspects");
+  const std::vector<GateId> suspects = collect_suspect_gates(log);
+  const double suspects_seconds = suspects_stage.stop();
+  M3DFL_STAGE(score_stage, "diag.score");
+  std::vector<Candidate> scored = score_candidates(log, suspects);
+  const double score_seconds = score_stage.stop();
+  M3DFL_STAGE(rank_stage, "diag.rank");
+  DiagnosisReport report =
+      opts_.multifault ? assemble_multifault(std::move(scored), log)
+                       : assemble_single(std::move(scored));
+  report.seconds = suspects_seconds + score_seconds + rank_stage.stop();
   return report;
 }
 

@@ -119,6 +119,16 @@ class Diagnoser {
 
   bool gate_in_cone_of_output(netlist::GateId g, std::uint32_t output) const;
 
+  /// Suspect order by evidence (the last collect_suspect_gates counts):
+  /// more explained responses first, then lower gate id.
+  auto by_evidence() const {
+    return [this](netlist::GateId a, netlist::GateId b) {
+      const std::uint32_t ca = suspect_count_[a];
+      const std::uint32_t cb = suspect_count_[b];
+      return ca != cb ? ca > cb : a < b;
+    };
+  }
+
   const Netlist* nl_;
   const SiteTable* sites_;
   ScanConfig scan_;
@@ -140,6 +150,8 @@ class Diagnoser {
   ScoreScratch scratch_;             ///< Sequential-path scoring scratch.
 
   std::vector<Signature> signatures_;
+  /// Per gate: failing responses it could explain (suspect evidence).
+  std::vector<std::uint32_t> suspect_count_;
 };
 
 }  // namespace m3dfl::diag

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <future>
 #include <optional>
 #include <queue>
 
 #include "common/executor.h"
 #include "obs/metrics.h"
-#include "obs/prof/counters.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "sim/bitpar/bitpar_sim.h"
 #include "sim/sim_pool.h"
 
@@ -88,13 +86,11 @@ FaultDictionary::FaultDictionary(const netlist::Netlist& nl,
                                  sim::FaultSimulator& fsim,
                                  FaultDictionaryOptions options)
     : nl_(&nl), sites_(&sites), options_(options) {
-  M3DFL_OBS_SPAN(build_span, "dictionary.build");
-  M3DFL_OBS_COUNTERS(build_ctrs, "dictionary.build");
+  M3DFL_STAGE(build_stage, "dictionary.build");
   const std::size_t W = fsim.num_words();
   const std::size_t num_sites = sites.size();
 
   auto& reg = obs::MetricsRegistry::instance();
-  static obs::LatencyHistogram& shard_hist = reg.histogram("dictionary.shard");
   static obs::Counter& sim_calls_ctr = reg.counter("sim.observed_diff_calls");
   static obs::Counter& sim_det_ctr = reg.counter("sim.detected");
   static obs::Counter& sim_events_ctr = reg.counter("sim.events_processed");
@@ -126,9 +122,7 @@ FaultDictionary::FaultDictionary(const netlist::Netlist& nl,
   auto build_sites = [&](sim::FaultSimulator& sim_,
                          std::span<const netlist::SiteId> site_list,
                          std::vector<Entry>& out) {
-    M3DFL_OBS_SPAN(shard_span, "dictionary.shard");
-    M3DFL_OBS_COUNTERS(shard_ctrs, "dictionary.shard");
-    const auto t0 = std::chrono::steady_clock::now();
+    M3DFL_STAGE(shard_stage, "dictionary.shard");
     std::vector<sim::Word> diff;
     std::vector<std::uint32_t> touched;
     for (netlist::SiteId s : site_list) {
@@ -151,9 +145,6 @@ FaultDictionary::FaultDictionary(const netlist::Netlist& nl,
     sim_words_ctr.add(d.words_evaluated);
     sim_cone_ctr.add(d.cone_skips);
     sim_early_ctr.add(d.early_exits);
-    shard_hist.record(std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count());
   };
 
   // Bit-parallel variant of build_sites: packs the shard's (site, polarity)
@@ -174,9 +165,7 @@ FaultDictionary::FaultDictionary(const netlist::Netlist& nl,
   auto build_sites_bp = [&](sim::bitpar::BitParallelSimulator::Workspace& ws,
                             std::span<const netlist::SiteId> site_list,
                             std::vector<Entry>& out) {
-    M3DFL_OBS_SPAN(shard_span, "dictionary.shard");
-    M3DFL_OBS_COUNTERS(shard_ctrs, "dictionary.shard");
-    const auto t0 = std::chrono::steady_clock::now();
+    M3DFL_STAGE(shard_stage, "dictionary.shard");
     std::vector<sim::InjectedFault> jobs;
     jobs.reserve(site_list.size() * 2);
     for (netlist::SiteId s : site_list) {
@@ -204,9 +193,6 @@ FaultDictionary::FaultDictionary(const netlist::Netlist& nl,
       }
     }
     sim::bitpar::flush_bitpar_metrics(ws.stats);
-    shard_hist.record(std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count());
   };
 
   const bool bitpar = options.backend == sim::SimBackend::kBitParallel;

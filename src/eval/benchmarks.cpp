@@ -1,12 +1,11 @@
 #include "eval/benchmarks.h"
 
 #include <cassert>
-#include <chrono>
 #include <map>
 #include <mutex>
 
 #include "common/rng.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 
 namespace m3dfl::eval {
 
@@ -191,7 +190,7 @@ diag::Diagnoser Design::make_diagnoser(bool multifault) const {
 
 std::unique_ptr<Design> build_design(const BenchmarkSpec& spec, Config config,
                                      std::uint64_t partition_seed) {
-  M3DFL_OBS_SPAN(span, "design.build");
+  M3DFL_STAGE(stage, "design.build");
   auto d = std::make_unique<Design>();
   d->spec = spec;
   d->config = config;
@@ -257,7 +256,7 @@ std::unique_ptr<Design> build_design(const BenchmarkSpec& spec, Config config,
 
   // 4. Good-machine simulation + heterogeneous graph (feature
   // construction; timed for Table IX).
-  const auto t0 = std::chrono::steady_clock::now();
+  M3DFL_STAGE(graph_stage, "design.graph");
   d->fsim = std::make_unique<sim::FaultSimulator>(d->nl, d->sites);
   if (spec.enhanced_scan) {
     d->fsim->bind(d->patterns, d->patterns_v2);
@@ -266,8 +265,7 @@ std::unique_ptr<Design> build_design(const BenchmarkSpec& spec, Config config,
   }
   d->graph = std::make_unique<graphx::HeteroGraph>(d->nl, d->sites);
   d->graph->bind_transitions(d->fsim->good());
-  const auto t1 = std::chrono::steady_clock::now();
-  d->graph_build_seconds = std::chrono::duration<double>(t1 - t0).count();
+  d->graph_build_seconds = graph_stage.stop();
 
   assert(d->nl.validate().empty());
   return d;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <future>
 #include <optional>
 #include <span>
@@ -11,8 +10,7 @@
 #include "common/rng.h"
 #include "compress/compactor.h"
 #include "obs/metrics.h"
-#include "obs/prof/counters.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "sim/bitpar/bitpar_sim.h"
 #include "sim/sim_pool.h"
 
@@ -137,7 +135,7 @@ bool generate_sample(const Design& design, const DatagenOptions& opts,
 }  // namespace
 
 Dataset generate_dataset(const Design& design, const DatagenOptions& opts) {
-  M3DFL_OBS_SPAN(gen_span, "datagen.generate");
+  M3DFL_STAGE(gen_stage, "datagen.generate");
   const std::size_t n = opts.num_samples;
   const compress::ResponseCompactor compactor(design.scan);
 
@@ -149,7 +147,6 @@ Dataset generate_dataset(const Design& design, const DatagenOptions& opts) {
   // Registry entries are process-lifetime stable, so hot loops may cache
   // references once instead of paying a map lookup per sample.
   auto& reg = obs::MetricsRegistry::instance();
-  static obs::LatencyHistogram& sample_hist = reg.histogram("datagen.sample");
   static obs::Counter& samples_ctr = reg.counter("datagen.samples");
   static obs::Counter& skipped_ctr = reg.counter("datagen.skipped");
   static obs::Counter& sim_calls_ctr = reg.counter("sim.observed_diff_calls");
@@ -163,16 +160,12 @@ Dataset generate_dataset(const Design& design, const DatagenOptions& opts) {
 
   auto run_range = [&](sim::FaultSimulator& fsim, std::size_t lo,
                        std::size_t hi) {
-    M3DFL_OBS_SPAN(shard_span, "datagen.shard");
-    M3DFL_OBS_COUNTERS(shard_ctrs, "datagen.shard");
+    M3DFL_STAGE(shard_stage, "datagen.shard");
     std::vector<sim::Word> diff;
     for (std::size_t i = lo; i < hi; ++i) {
-      const auto t0 = std::chrono::steady_clock::now();
+      M3DFL_STAGE(sample_stage, "datagen.sample");
       present[i] = generate_sample(design, opts, fsim, compactor, diff, i,
                                    slots[i]);
-      sample_hist.record(std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count());
       (present[i] ? samples_ctr : skipped_ctr).add(1);
     }
     // take_stats() snapshots-and-resets, so pooled clones re-leased by a
@@ -204,8 +197,7 @@ Dataset generate_dataset(const Design& design, const DatagenOptions& opts) {
   }
   auto run_range_bp = [&](sim::bitpar::BitParallelSimulator::Workspace& ws,
                           std::size_t lo, std::size_t hi) {
-    M3DFL_OBS_SPAN(shard_span, "datagen.shard");
-    M3DFL_OBS_COUNTERS(shard_ctrs, "datagen.shard");
+    M3DFL_STAGE(shard_stage, "datagen.shard");
     sim::bitpar::BitParallelSimulator::BatchResult res;
     std::vector<sim::Word> diff;
     struct Active {
@@ -217,7 +209,8 @@ Dataset generate_dataset(const Design& design, const DatagenOptions& opts) {
     std::vector<std::span<const InjectedFault>> machines;
     for (std::size_t w0 = lo; w0 < hi; w0 += sim::bitpar::kMaxLanes) {
       const std::size_t w1 = std::min(hi, w0 + sim::bitpar::kMaxLanes);
-      const auto t0 = std::chrono::steady_clock::now();
+      // A wave sweeps every lane at once: per-sample timings don't exist.
+      M3DFL_STAGE(wave_stage, "datagen.wave");
       active.clear();
       for (std::size_t i = w0; i < w1; ++i) {
         active.push_back({i, Rng(derive_seed(opts.seed, i))});
@@ -273,14 +266,6 @@ Dataset generate_dataset(const Design& design, const DatagenOptions& opts) {
           }
         }
         active.resize(keep);
-      }
-      // The wave sweeps every lane at once, so individual sample timings
-      // don't exist — record the window's wall time amortized per sample.
-      const double elapsed = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-      for (std::size_t i = w0; i < w1; ++i) {
-        sample_hist.record(elapsed / static_cast<double>(w1 - w0));
       }
     }
     sim::bitpar::flush_bitpar_metrics(ws.stats);

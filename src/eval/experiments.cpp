@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 
 #include "atpg/coverage.h"
@@ -10,7 +9,7 @@
 #include "core/pr_curve.h"
 #include "gnn/explain.h"
 #include "gnn/pca.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 
 namespace m3dfl::eval {
 
@@ -120,9 +119,8 @@ TrainingBundle build_training_bundle(const BenchmarkSpec& spec,
 
 TrainedFramework train_framework(const TrainingBundle& bundle,
                                  const RunScale& scale) {
-  M3DFL_OBS_SPAN(fw_span, "train.framework");
+  M3DFL_STAGE(fw_stage, "train.framework");
   TrainedFramework fw;
-  const auto t0 = std::chrono::steady_clock::now();
 
   // Tags RunScale's model-agnostic hook with which model is training.
   auto tagged = [&scale](const char* model) {
@@ -144,7 +142,7 @@ TrainedFramework train_framework(const TrainingBundle& bundle,
   topts.num_threads = scale.num_threads;
   topts.on_epoch = tagged("tier");
   {
-    M3DFL_OBS_SPAN(span, "train.tier");
+    M3DFL_STAGE(tier_stage, "train.tier");
     fw.tier.train(tier_data, topts);
   }
   fw.train_tier_accuracy = fw.tier.accuracy(tier_data);
@@ -170,7 +168,7 @@ TrainedFramework train_framework(const TrainingBundle& bundle,
   mopts.num_threads = scale.num_threads;
   mopts.on_epoch = tagged("miv");
   {
-    M3DFL_OBS_SPAN(span, "train.miv");
+    M3DFL_STAGE(miv_stage, "train.miv");
     fw.miv.train(miv_data, mopts);
   }
 
@@ -194,13 +192,12 @@ TrainedFramework train_framework(const TrainingBundle& bundle,
   copts.num_threads = scale.num_threads;
   copts.on_epoch = tagged("classifier");
   {
-    M3DFL_OBS_SPAN(span, "train.classifier");
+    M3DFL_STAGE(classifier_stage, "train.classifier");
     fw.classifier.train_balanced(cls_graphs, cls_labels, copts,
                                  derive_seed(scale.seed, 7005));
   }
 
-  const auto t1 = std::chrono::steady_clock::now();
-  fw.gnn_train_seconds = std::chrono::duration<double>(t1 - t0).count();
+  fw.gnn_train_seconds = fw_stage.stop();
   return fw;
 }
 
@@ -526,14 +523,13 @@ std::vector<RuntimeRow> run_runtime(const RunScale& scale) {
       acc_atpg.add(report, s.truth_sites);
 
       // T_GNN: back-trace + all three model inferences.
-      const auto g0 = std::chrono::steady_clock::now();
+      M3DFL_STAGE(gnn_stage, "eval.t_gnn");
       const graphx::SubGraph sub =
           graphx::backtrace_subgraph(*design->graph, s.log, design->scan);
       (void)fw.tier.predict(sub);
       (void)fw.miv.scores(sub);
       (void)fw.classifier.prune_probability(sub);
-      const auto g1 = std::chrono::steady_clock::now();
-      row.t_gnn += std::chrono::duration<double>(g1 - g0).count();
+      row.t_gnn += gnn_stage.stop();
 
       const PolicyOutcome outcome =
           core::apply_policy(report, s.sub, fw.models(), fw.policy);

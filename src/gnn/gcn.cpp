@@ -1,9 +1,6 @@
 #include "gnn/gcn.h"
 
 #include <cassert>
-#include <chrono>
-
-#include "obs/metrics.h"
 
 namespace m3dfl::gnn {
 
@@ -110,29 +107,10 @@ GcnStack::GcnStack(std::size_t in_dim, const std::vector<std::size_t>& hidden,
 
 Matrix GcnStack::forward(const SubGraph& g, const Matrix& x,
                          std::vector<GcnCache>* caches) const {
-  if (caches) {
-    // Training forward (caches requested): no instrumentation — backprop
-    // dominates and the histogram is meant to profile inference.
-    caches->resize(layers.size());
-    Matrix h = x;
-    for (std::size_t l = 0; l < layers.size(); ++l) {
-      h = layers[l].forward(g, h, &(*caches)[l]);
-    }
-    return h;
-  }
-  static obs::LatencyHistogram& hist = obs::MetricsRegistry::instance()
-      .histogram("gnn.inference.layer_forward_seconds");
+  if (caches) caches->resize(layers.size());
   Matrix h = x;
-  for (const GcnLayer& layer : layers) {
-    if (obs::hot_path_sample()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      h = layer.forward(g, h, nullptr);
-      hist.record(std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count());
-    } else {
-      h = layer.forward(g, h, nullptr);
-    }
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    h = layers[l].forward(g, h, caches ? &(*caches)[l] : nullptr);
   }
   return h;
 }

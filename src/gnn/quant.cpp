@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <future>
@@ -80,14 +79,6 @@ float absmax_of(const Matrix& m) {
 /// (every quantized value is then exactly 0; no division by zero anywhere).
 float scale_from_absmax(float absmax) {
   return absmax > 0.0f ? absmax / 127.0f : 1.0f;
-}
-
-void record_layer_latency(std::chrono::steady_clock::time_point t0) {
-  static obs::LatencyHistogram& hist = obs::MetricsRegistry::instance()
-      .histogram("gnn.inference.layer_forward_seconds");
-  hist.record(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            t0)
-                  .count());
 }
 
 /// Per-tensor absmax statistics of a GraphClassifier forward pass — the
@@ -287,17 +278,9 @@ void QuantizedGcnStack::forward_into(const SubGraph& g, const Matrix& x,
   const Matrix* h = &x;
   for (std::size_t l = 0; l < layers.size(); ++l) {
     Matrix& dst = l + 1 == layers.size() ? out : hidden;
-    if (obs::hot_path_sample()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      GcnLayer::aggregate_into(g, *h, agg);
-      layers[l].lin.forward_into(agg, dst);
-      relu_inplace(dst);
-      record_layer_latency(t0);
-    } else {
-      GcnLayer::aggregate_into(g, *h, agg);
-      layers[l].lin.forward_into(agg, dst);
-      relu_inplace(dst);
-    }
+    GcnLayer::aggregate_into(g, *h, agg);
+    layers[l].lin.forward_into(agg, dst);
+    relu_inplace(dst);
     h = &dst;
   }
 }

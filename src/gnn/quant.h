@@ -108,9 +108,7 @@ struct QuantizedGcnStack {
   std::size_t out_dim() const {
     return layers.empty() ? 0 : layers.back().lin.out_dim();
   }
-  /// Forward through all layers; feeds the
-  /// gnn.inference.layer_forward_seconds histogram (1-in-16 sampled — see
-  /// obs::hot_path_sample).
+  /// Forward through all layers.
   Matrix forward(const SubGraph& g, const Matrix& x) const;
 
   /// forward() into a caller-owned matrix (reshaped to fit). Intermediate

@@ -1,26 +1,17 @@
 #include "gnn/trainer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <future>
 #include <memory>
 #include <numeric>
 
 #include "common/executor.h"
-#include "obs/metrics.h"
-#include "obs/prof/counters.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 
 namespace m3dfl::gnn {
 
 namespace {
-
-obs::LatencyHistogram& epoch_histogram() {
-  static obs::LatencyHistogram& h =
-      obs::MetricsRegistry::instance().histogram("train.epoch");
-  return h;
-}
 
 bool should_stop(const TrainOptions& opts, const std::vector<double>& losses) {
   if (opts.patience <= 0 ||
@@ -47,7 +38,7 @@ TrainStats train_graph_classifier(GraphClassifier& model,
                                   const TrainOptions& opts) {
   TrainStats stats;
   if (data.empty()) return stats;
-  const auto start = std::chrono::steady_clock::now();
+  M3DFL_STAGE(fit_stage, "train.fit");
 
   model.zero_grad();
   Adam adam(model.params(),
@@ -89,9 +80,7 @@ TrainStats train_graph_classifier(GraphClassifier& model,
   };
 
   for (int epoch = 0; epoch < opts.epochs; ++epoch) {
-    M3DFL_OBS_SPAN(epoch_span, "train.epoch");
-    M3DFL_OBS_COUNTERS(epoch_ctrs, "train.epoch");
-    const auto epoch_t0 = std::chrono::steady_clock::now();
+    M3DFL_STAGE(epoch_stage, "train.epoch");
     double merge_seconds = 0.0;
     rng.shuffle(order);
     double epoch_loss = 0.0;
@@ -108,7 +97,7 @@ TrainStats train_graph_classifier(GraphClassifier& model,
       } else {
         for (std::size_t k = 0; k < m; ++k) run_slot(k, order[b + k]);
       }
-      const auto merge_t0 = std::chrono::steady_clock::now();
+      M3DFL_STAGE(merge_stage, "train.merge");
       for (std::size_t k = 0; k < m; ++k) {
         for (std::size_t p = 0; p < master.size(); ++p) {
           const ParamRef& src = shard_params[k][p];
@@ -117,26 +106,19 @@ TrainStats train_graph_classifier(GraphClassifier& model,
         }
         epoch_loss += slot_loss[k];
       }
-      merge_seconds += std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - merge_t0)
-                           .count();
+      merge_seconds += merge_stage.stop();
       adam.step();
     }
     stats.epoch_loss.push_back(epoch_loss / static_cast<double>(data.size()));
     stats.epochs_run = epoch + 1;
-    const double epoch_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      epoch_t0)
-            .count();
-    epoch_histogram().record(epoch_seconds);
+    const double epoch_seconds = epoch_stage.stop();
     if (opts.on_epoch) {
       opts.on_epoch({epoch, stats.epoch_loss.back(), epoch_seconds,
                      merge_seconds, data.size()});
     }
     if (should_stop(opts, stats.epoch_loss)) break;
   }
-  const auto end = std::chrono::steady_clock::now();
-  stats.seconds = std::chrono::duration<double>(end - start).count();
+  stats.seconds = fit_stage.stop();
   return stats;
 }
 
@@ -145,7 +127,7 @@ TrainStats train_node_scorer(NodeScorer& model,
                              const TrainOptions& opts) {
   TrainStats stats;
   if (data.empty()) return stats;
-  const auto start = std::chrono::steady_clock::now();
+  M3DFL_STAGE(fit_stage, "train.fit");
 
   Adam adam(model.params(),
             {.lr = opts.lr, .weight_decay = opts.weight_decay});
@@ -154,9 +136,7 @@ TrainStats train_node_scorer(NodeScorer& model,
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
   for (int epoch = 0; epoch < opts.epochs; ++epoch) {
-    M3DFL_OBS_SPAN(epoch_span, "train.epoch");
-    M3DFL_OBS_COUNTERS(epoch_ctrs, "train.epoch");
-    const auto epoch_t0 = std::chrono::steady_clock::now();
+    M3DFL_STAGE(epoch_stage, "train.epoch");
     rng.shuffle(order);
     double epoch_loss = 0.0;
     std::size_t in_batch = 0;
@@ -170,19 +150,14 @@ TrainStats train_node_scorer(NodeScorer& model,
     if (in_batch > 0) adam.step();
     stats.epoch_loss.push_back(epoch_loss / static_cast<double>(data.size()));
     stats.epochs_run = epoch + 1;
-    const double epoch_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      epoch_t0)
-            .count();
-    epoch_histogram().record(epoch_seconds);
+    const double epoch_seconds = epoch_stage.stop();
     if (opts.on_epoch) {
       opts.on_epoch(
           {epoch, stats.epoch_loss.back(), epoch_seconds, 0.0, data.size()});
     }
     if (should_stop(opts, stats.epoch_loss)) break;
   }
-  const auto end = std::chrono::steady_clock::now();
-  stats.seconds = std::chrono::duration<double>(end - start).count();
+  stats.seconds = fit_stage.stop();
   return stats;
 }
 

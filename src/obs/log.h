@@ -41,7 +41,7 @@ struct LogField {
 ///
 /// Mutators are cheap: level/format checks are relaxed atomic loads, and
 /// only the final write takes a mutex (records interleave line-atomically
-/// across threads). Like the M3DFL_OBS_SPAN macros, the M3DFL_LOG_DEBUG
+/// across threads). Like a stage's span hook, the M3DFL_LOG_DEBUG
 /// macro compiles to nothing under -DM3DFL_OBS=OFF, so debug-level call
 /// sites on hot paths carry zero logging code; info/warn/error always
 /// compile in, because CLI error reporting must survive obs-off builds.

@@ -58,17 +58,6 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> total_nanos_{0};
 };
 
-/// Deterministic 1-in-16 tick for sub-microsecond hot paths. Per-layer
-/// inference forwards run in the low microseconds, where two steady_clock
-/// reads plus a histogram record are a measurable fraction of the work —
-/// sampling keeps the histogram populated while charging the hot loop
-/// ~1/16th of the instrumentation cost. Thread-local counter: no atomics,
-/// and the fixed stride keeps sampling deterministic per thread.
-inline bool hot_path_sample() {
-  static thread_local std::uint32_t tick = 0;
-  return (++tick & 0xFu) == 0;
-}
-
 /// Monotonic counter (relaxed atomic).
 class Counter {
  public:

@@ -378,31 +378,23 @@ void CounterRegistry::reset() {
   }
 }
 
-CounterScope::CounterScope(CounterRegistry::Scope& scope) {
-  if (!CounterRegistry::instance().enabled()) return;
-  if (!read_thread_counters(&start_)) return;
-  scope_ = &scope;
-}
-
-CounterScope::~CounterScope() {
-  if (scope_ == nullptr) return;
-  CounterValues end;
-  if (!read_thread_counters(&end)) return;
-  scope_->count.fetch_add(1, std::memory_order_relaxed);
-  const double dt = end.cpu_seconds - start_.cpu_seconds;
+void CounterRegistry::add(Scope& scope, const CounterValues& start,
+                          const CounterValues& end) {
+  scope.count.fetch_add(1, std::memory_order_relaxed);
+  const double dt = end.cpu_seconds - start.cpu_seconds;
   if (dt > 0) {
-    scope_->cpu_nanos.fetch_add(static_cast<std::uint64_t>(dt * 1e9),
-                                std::memory_order_relaxed);
+    scope.cpu_nanos.fetch_add(static_cast<std::uint64_t>(dt * 1e9),
+                              std::memory_order_relaxed);
   }
-  if (end.hw_valid && start_.hw_valid) {
-    auto add = [](std::atomic<std::uint64_t>& dst, std::uint64_t a,
-                  std::uint64_t b) {
+  if (end.hw_valid && start.hw_valid) {
+    auto add_delta = [](std::atomic<std::uint64_t>& dst, std::uint64_t a,
+                        std::uint64_t b) {
       if (a > b) dst.fetch_add(a - b, std::memory_order_relaxed);
     };
-    add(scope_->cycles, end.cycles, start_.cycles);
-    add(scope_->instructions, end.instructions, start_.instructions);
-    add(scope_->llc_misses, end.llc_misses, start_.llc_misses);
-    add(scope_->branch_misses, end.branch_misses, start_.branch_misses);
+    add_delta(scope.cycles, end.cycles, start.cycles);
+    add_delta(scope.instructions, end.instructions, start.instructions);
+    add_delta(scope.llc_misses, end.llc_misses, start.llc_misses);
+    add_delta(scope.branch_misses, end.branch_misses, start.branch_misses);
   }
 }
 

@@ -20,15 +20,15 @@
 // reported on /statusz and /countersz; nothing in this subsystem ever
 // fails hard when counters are missing.
 //
-// Attachment model: a CounterScope snapshots the calling thread's counter
-// group on entry and exit and accumulates the delta into a named
-// per-process aggregate (CounterRegistry), mirroring how M3DFL_OBS_SPAN
-// attaches wall time to a stage name. Counter fds are per-thread
-// (inherit=0) and lazily opened, so Executor workers each count their own
-// cycles with no cross-thread multiplexing.
+// Attachment model: an obs::Stage (M3DFL_STAGE, obs/stage.h) snapshots
+// the calling thread's counter group when it opens and closes and adds the
+// delta to the per-process aggregate named after the stage
+// (CounterRegistry), next to the stage's wall-time histogram and span.
+// Counter fds are per-thread (inherit=0) and lazily opened, so Executor
+// workers each count their own cycles with no cross-thread multiplexing.
 //
-// Under -DM3DFL_OBS=OFF the M3DFL_OBS_COUNTERS macro expands to nothing
-// and counters.cpp compiles to an empty TU.
+// Under -DM3DFL_OBS=OFF counters.cpp compiles to an empty TU and Stage
+// carries no counter hook.
 #if M3DFL_OBS_ENABLED
 
 namespace m3dfl::obs::prof {
@@ -78,7 +78,7 @@ bool read_thread_counters(CounterValues* out);
 
 /// Aggregated deltas for one named scope.
 struct ScopeTotals {
-  std::uint64_t count = 0;  ///< Completed CounterScope passes.
+  std::uint64_t count = 0;  ///< Completed stage passes.
   std::uint64_t cycles = 0;
   std::uint64_t instructions = 0;
   std::uint64_t llc_misses = 0;
@@ -91,10 +91,10 @@ struct ScopeTotals {
 };
 
 /// Process-wide named aggregates, same resolve-once-then-wait-free usage
-/// pattern as MetricsRegistry: instrumentation sites hold a static
-/// reference to their Scope and CounterScope mutates it with relaxed
-/// fetch_adds. Disabled (the default) a CounterScope costs one relaxed
-/// load; enable with --counters or set_enabled(true).
+/// pattern as MetricsRegistry: each stage site holds a static reference to
+/// its Scope and add() mutates it with relaxed fetch_adds. Disabled (the
+/// default) a stage pays one relaxed load for counters; enable with
+/// --counters or set_enabled(true).
 class CounterRegistry {
  public:
   struct Scope;  ///< Opaque aggregate; defined in counters.cpp.
@@ -106,6 +106,10 @@ class CounterRegistry {
 
   /// Named aggregate; the reference stays valid for the process lifetime.
   Scope& scope(const std::string& name);
+
+  /// Counts one pass into `scope`, adding the counter deltas end - start.
+  static void add(Scope& scope, const CounterValues& start,
+                  const CounterValues& end);
 
   std::vector<std::pair<std::string, ScopeTotals>> snapshot() const;
 
@@ -122,31 +126,6 @@ class CounterRegistry {
   CounterRegistry() = default;
 };
 
-/// RAII: accumulates the calling thread's counter deltas over its lifetime
-/// into `scope`. Near-free when the registry is disabled.
-class CounterScope {
- public:
-  explicit CounterScope(CounterRegistry::Scope& scope);
-  ~CounterScope();
-  CounterScope(const CounterScope&) = delete;
-  CounterScope& operator=(const CounterScope&) = delete;
-
- private:
-  CounterRegistry::Scope* scope_ = nullptr;  ///< Null when disabled.
-  CounterValues start_;
-};
-
 }  // namespace m3dfl::obs::prof
-
-/// Attaches counters to a stage, resolving the scope once per site:
-///   M3DFL_OBS_COUNTERS(ctr, "serve.process");
-#define M3DFL_OBS_COUNTERS(var, name)                            \
-  static ::m3dfl::obs::prof::CounterRegistry::Scope& var##_ref = \
-      ::m3dfl::obs::prof::CounterRegistry::instance().scope((name)); \
-  ::m3dfl::obs::prof::CounterScope var(var##_ref)
-
-#else  // !M3DFL_OBS_ENABLED
-
-#define M3DFL_OBS_COUNTERS(var, name) ((void)0)
 
 #endif  // M3DFL_OBS_ENABLED

@@ -9,13 +9,6 @@
 
 namespace m3dfl::obs {
 
-namespace {
-
-/// Nesting depth of the calling thread's open spans.
-thread_local std::uint32_t tls_depth = 0;
-
-}  // namespace
-
 /// One seqlock-protected ring slot. Every field is an atomic so concurrent
 /// snapshot() reads are race-free under TSan; the sequence number filters
 /// out torn cross-field combinations:
@@ -208,21 +201,6 @@ void Tracer::write_chrome_trace(std::ostream& os,
   os << "\n],\"displayTimeUnit\":\"ms\"";
   if (!extra_sections.empty()) os << ',' << extra_sections;
   os << "}\n";
-}
-
-ObsSpan::ObsSpan(const char* name, const char* category)
-    : name_(name), category_(category) {
-  if (!Tracer::instance().enabled()) return;
-  active_ = true;
-  depth_ = tls_depth++;
-  start_ns_ = Tracer::now_ns();
-}
-
-ObsSpan::~ObsSpan() {
-  if (!active_) return;
-  --tls_depth;
-  Tracer::instance().record(name_, category_, start_ns_,
-                            Tracer::now_ns() - start_ns_, depth_);
 }
 
 std::vector<SpanSummary> summarize_spans(

@@ -35,10 +35,9 @@ struct SpanEvent {
 /// writer is mid-update on, so a torn span can never be observed.
 ///
 /// Tracing is off by default; set_enabled(true) turns recording on with one
-/// relaxed flag. Disabled spans cost a single relaxed load. When the
-/// library is built with -DM3DFL_OBS=OFF the M3DFL_OBS_SPAN macros expand
-/// to nothing and instrumented code carries no tracing at all; the Tracer
-/// itself stays linkable so tooling compiles in both modes.
+/// relaxed flag. Spans come from obs::Stage (M3DFL_STAGE), whose tracing
+/// hook compiles out under -DM3DFL_OBS=OFF; the Tracer itself stays
+/// linkable so tooling compiles in both modes.
 ///
 /// Spans observe timing only — they never feed back into computation — so
 /// enabling tracing cannot perturb the pipeline's bit-identity guarantees.
@@ -62,7 +61,7 @@ class Tracer {
   static std::uint64_t now_ns();
 
   /// Records one completed span into the calling thread's ring. No-op when
-  /// disabled. Called by ~ObsSpan; rarely useful directly.
+  /// disabled. Called by Stage::stop(); rarely useful directly.
   void record(const char* name, const char* category, std::uint64_t start_ns,
               std::uint64_t dur_ns, std::uint32_t depth);
 
@@ -100,25 +99,6 @@ class Tracer {
   std::uint32_t next_tid_ = 1;
 };
 
-/// RAII span guard: opens on construction, records on destruction. The
-/// name/category must be string literals (or otherwise outlive the tracer's
-/// rings). Use through M3DFL_OBS_SPAN so disabled builds compile it out.
-class ObsSpan {
- public:
-  explicit ObsSpan(const char* name, const char* category = "m3dfl");
-  ~ObsSpan();
-
-  ObsSpan(const ObsSpan&) = delete;
-  ObsSpan& operator=(const ObsSpan&) = delete;
-
- private:
-  const char* name_;
-  const char* category_;
-  std::uint64_t start_ns_ = 0;
-  std::uint32_t depth_ = 0;
-  bool active_ = false;
-};
-
 /// Aggregate view of a snapshot: per span name, how many spans, total time,
 /// and how many distinct threads recorded one. Sorted by total time
 /// descending (the CLI --progress summary).
@@ -131,15 +111,3 @@ struct SpanSummary {
 std::vector<SpanSummary> summarize_spans(const std::vector<SpanEvent>& events);
 
 }  // namespace m3dfl::obs
-
-// Instrumentation macros. `var` names the guard (must be unique in scope);
-// the span closes when `var` goes out of scope. With M3DFL_OBS=OFF both
-// expand to nothing, so instrumented hot paths carry zero tracing code.
-#if M3DFL_OBS_ENABLED
-#define M3DFL_OBS_SPAN(var, name) ::m3dfl::obs::ObsSpan var((name))
-#define M3DFL_OBS_SPAN_CAT(var, name, cat) \
-  ::m3dfl::obs::ObsSpan var((name), (cat))
-#else
-#define M3DFL_OBS_SPAN(var, name) ((void)0)
-#define M3DFL_OBS_SPAN_CAT(var, name, cat) ((void)0)
-#endif

@@ -140,7 +140,7 @@ void register_admin_endpoints(obs::AdminHttpServer& server,
     return r;
   });
 
-  // Hardware-counter aggregates (per CounterScope stage) plus the probed
+  // Hardware-counter aggregates (one scope per stage) plus the probed
   // availability rung — "rusage" here means perf_event_open was denied and
   // only CPU-seconds are being accumulated.
   server.handle("/countersz", [] {

@@ -6,11 +6,9 @@
 
 #include "diagnosis/diagnoser.h"
 #include "graphx/backtrace.h"
-#include "obs/exemplar.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/prof/counters.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 
 namespace m3dfl::serve {
 
@@ -126,7 +124,7 @@ std::future<DiagnosisResponse> DiagnosisService::submit(
   p.log = std::make_shared<const sim::FailureLog>(std::move(log));
   p.promise = std::make_shared<std::promise<DiagnosisResponse>>();
   p.request_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  p.t_submit = std::chrono::steady_clock::now();
+  p.submit_ns = obs::Tracer::now_ns();
   std::future<DiagnosisResponse> future = p.promise->get_future();
   {
     std::lock_guard<std::mutex> lock(designs_mu_);
@@ -182,20 +180,10 @@ void DiagnosisService::release_context(DesignState& state,
 }
 
 void DiagnosisService::process(Pending& p) {
-  M3DFL_OBS_SPAN(span, "serve.process");
-  M3DFL_OBS_COUNTERS(ctrs, "serve.process");
-  using clock = std::chrono::steady_clock;
-  // Worker pickup: the boundary between queue wait (time in the executor
-  // queue) and service time (everything below).
-  const clock::time_point t_start = clock::now();
-  const bool want_exemplar = obs::ExemplarStore::instance().enabled();
-  auto rel_ms = [&p](clock::time_point a, clock::time_point b) {
-    return std::chrono::duration<double, std::milli>(b - a).count();
-  };
-  std::vector<obs::ExemplarStage> stages;
-  if (want_exemplar) {
-    stages.push_back({"serve.queue", 0.0, rel_ms(p.t_submit, t_start)});
-  }
+  // Worker pickup closes the request's serve.queue stage; serve.process is
+  // its service time.
+  obs::RequestContext request(p.request_id, p.submit_ns);
+  M3DFL_STAGE(stage, "serve.process");
   DiagnosisResponse r;
   r.request_id = p.request_id;
   try {
@@ -204,14 +192,11 @@ void DiagnosisService::process(Pending& p) {
       r.error = "no framework published under '" + opts_.model_name + "'";
     } else {
       const eval::Design& d = *p.state->design;
-      const clock::time_point t_diag0 = clock::now();
-      std::unique_ptr<WorkerContext> ctx = acquire_context(*p.state);
-      r.atpg_report = ctx->diagnoser->diagnose(*p.log);
-      release_context(*p.state, std::move(ctx));
-      const clock::time_point t_diag1 = clock::now();
-      if (want_exemplar) {
-        stages.push_back({"serve.diagnose", rel_ms(p.t_submit, t_diag0),
-                          rel_ms(t_diag0, t_diag1)});
+      {
+        M3DFL_STAGE(diag_stage, "serve.diagnose");
+        std::unique_ptr<WorkerContext> ctx = acquire_context(*p.state);
+        r.atpg_report = ctx->diagnoser->diagnose(*p.log);
+        release_context(*p.state, std::move(ctx));
       }
 
       const SubGraphCacheKey key{&d, failure_log_fingerprint(*p.log), p.log};
@@ -219,27 +204,20 @@ void DiagnosisService::process(Pending& p) {
       r.cache_hit = sub != nullptr;
       metrics_.on_cache(r.cache_hit);
       if (!sub) {
-        M3DFL_OBS_SPAN(bt_span, "serve.backtrace");
-        const clock::time_point t_bt0 = clock::now();
+        M3DFL_STAGE(bt_stage, "serve.backtrace");
         sub = std::make_shared<const graphx::SubGraph>(
             graphx::backtrace_subgraph(*d.graph, *p.log, d.scan));
         subgraph_cache_.put(key, sub);
-        if (want_exemplar) {
-          stages.push_back({"serve.backtrace", rel_ms(p.t_submit, t_bt0),
-                            rel_ms(t_bt0, clock::now())});
-        }
       }
 
-      const clock::time_point t_pol0 = clock::now();
-      const eval::InferenceMode mode = resolve_inference_mode(
-          opts_.inference, published->framework, /*count=*/true);
-      r.outcome =
-          core::apply_policy(r.atpg_report, *sub,
-                             published->framework.models(mode),
-                             published->framework.policy_for(mode));
-      if (want_exemplar) {
-        stages.push_back({"serve.policy", rel_ms(p.t_submit, t_pol0),
-                          rel_ms(t_pol0, clock::now())});
+      {
+        M3DFL_STAGE(policy_stage, "serve.policy");
+        const eval::InferenceMode mode = resolve_inference_mode(
+            opts_.inference, published->framework, /*count=*/true);
+        r.outcome =
+            core::apply_policy(r.atpg_report, *sub,
+                               published->framework.models(mode),
+                               published->framework.policy_for(mode));
       }
       r.model_version = published->version;
       metrics_.on_model_version(published->version);
@@ -249,10 +227,8 @@ void DiagnosisService::process(Pending& p) {
     r.ok = false;
     r.error = e.what();
   }
-  r.queue_seconds =
-      std::chrono::duration<double>(t_start - p.t_submit).count();
-  r.service_seconds =
-      std::chrono::duration<double>(clock::now() - t_start).count();
+  r.service_seconds = stage.stop();
+  r.queue_seconds = request.queue_seconds();
   r.seconds = r.queue_seconds + r.service_seconds;
   metrics_.on_complete_split(r.queue_seconds, r.service_seconds, r.ok);
   if (!r.ok) {
@@ -270,17 +246,15 @@ void DiagnosisService::process(Pending& p) {
     queue_hist.record(r.queue_seconds);
     service_hist.record(r.service_seconds);
   }
-  if (want_exemplar) {
+  if (request.capturing()) {
     obs::RequestExemplar ex;
-    ex.request_id = r.request_id;
     ex.total_ms = 1e3 * r.seconds;
     ex.queue_ms = 1e3 * r.queue_seconds;
     ex.service_ms = 1e3 * r.service_seconds;
     ex.ok = r.ok;
     ex.cache_hit = r.cache_hit;
     ex.model_version = r.model_version;
-    ex.stages = std::move(stages);
-    obs::ExemplarStore::instance().offer(std::move(ex));
+    request.offer(std::move(ex));
   }
   p.promise->set_value(std::move(r));
   {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -154,7 +153,7 @@ class DiagnosisService {
     std::shared_ptr<const sim::FailureLog> log;  ///< Also the cache key's.
     std::shared_ptr<std::promise<DiagnosisResponse>> promise;
     std::uint64_t request_id = 0;  ///< Assigned by submit().
-    std::chrono::steady_clock::time_point t_submit;
+    std::uint64_t submit_ns = 0;  ///< obs::Tracer::now_ns() at submit().
   };
 
   void process(Pending& p);

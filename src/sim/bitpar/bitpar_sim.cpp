@@ -5,7 +5,7 @@
 #include <numeric>
 
 #include "obs/metrics.h"
-#include "obs/prof/counters.h"
+#include "obs/stage.h"
 
 namespace m3dfl::sim::bitpar {
 
@@ -72,9 +72,9 @@ void BitParallelSimulator::compute_activation(const InjectedFault& fault,
 
 void BitParallelSimulator::run(std::span<const InjectedFault> faults,
                                Workspace& ws, BatchResult& out) const {
-  // IPC / cache-miss evidence for the SIMD-payoff question PR 6 left open:
-  // one counter pass per batch sweep, attributed to the bitpar kernel.
-  M3DFL_OBS_COUNTERS(ctrs, "sim.bitpar.run");
+  // One stage per batch sweep: IPC / cache-miss evidence for the bitpar
+  // kernel on /countersz.
+  M3DFL_STAGE(stage, "sim.bitpar.run");
   ws.single_spans.clear();
   ws.single_spans.reserve(faults.size());
   for (std::size_t j = 0; j < faults.size(); ++j) {

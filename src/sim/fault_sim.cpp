@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/trace.h"
+#include "obs/stage.h"
 
 namespace m3dfl::sim {
 
@@ -58,14 +58,14 @@ FaultSimulator::FaultSimulator(const netlist::Netlist& nl,
 }
 
 void FaultSimulator::bind(const PatternSet& v1_inputs) {
-  M3DFL_OBS_SPAN(span, "sim.bind");
+  M3DFL_STAGE(stage, "sim.bind");
   good_ = simulate_launch_off_capture(*nl_, v1_inputs);
   finish_bind(v1_inputs);
 }
 
 void FaultSimulator::bind(const PatternSet& v1_inputs,
                           const PatternSet& v2_inputs) {
-  M3DFL_OBS_SPAN(span, "sim.bind");
+  M3DFL_STAGE(stage, "sim.bind");
   good_ = simulate_two_vector(*nl_, v1_inputs, v2_inputs);
   finish_bind(v1_inputs);
 }

@@ -7,6 +7,7 @@
 #include "compress/compactor.h"
 #include "diagnosis/baseline.h"
 #include "diagnosis/diagnoser.h"
+#include "eval/benchmarks.h"
 #include "netlist/generators.h"
 
 #include <algorithm>
@@ -282,6 +283,33 @@ TEST(Diagnoser, MultiFaultPartitionedParallelBitIdentical) {
 }
 
 // --- Report metrics -----------------------------------------------------------
+
+TEST(Diagnoser, SuspectCapKeepsTheBestExplainedGates) {
+  // tiny never reaches the default cap; at 96 it binds on most logs. A
+  // faulty stem's gate explains every failing response, so an evidence-
+  // ranked cut keeps it — cutting in gate-id order lost high-id gates
+  // (481, 468, 457, 441, 388 and 346 here).
+  const eval::Design& d =
+      eval::cached_design(eval::tiny_spec(), eval::Config::kSyn2);
+  DiagnoserOptions opts = d.spec.diag;
+  opts.max_suspects = 96;
+  Diagnoser diag(d.nl, d.sites, d.scan, opts);
+  diag.bind(*d.fsim);
+  std::vector<sim::Word> diff;
+  std::size_t tested = 0;
+  std::vector<netlist::GateId> lost;
+  for (netlist::GateId g = 0; g < d.nl.num_gates(); ++g) {
+    const InjectedFault f{d.sites.stem_of(g), FaultPolarity::kSlowToRise};
+    if (!d.fsim->observed_diff(f, diff)) continue;
+    ++tested;
+    const sim::FailureLog log = sim::failure_log_from_diff(
+        diff, d.nl.num_outputs(), d.fsim->num_patterns());
+    if (!diag.diagnose(log).hits_any({&f.site, 1})) lost.push_back(g);
+  }
+  EXPECT_GT(tested, 400u);
+  EXPECT_TRUE(lost.empty()) << lost.size() << " truths cut, first at gate "
+                            << lost.front();
+}
 
 TEST(Report, FirstHitIndexAndSingleTier) {
   DiagnosisReport r;

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "common/rng.h"
+#include "eval/benchmarks.h"
 #include "eval/framework_io.h"
 #include "gnn/serialize.h"
 #include "m3d/miv.h"
@@ -243,6 +244,77 @@ TEST(CorruptionFuzz, MutatedFailureLogTextFailsOrRoundTrips) {
   // Both outcomes must be exercised, or the fuzz checks nothing.
   EXPECT_GT(accepted, 0);
   EXPECT_LT(accepted, 3000);
+}
+
+/// A mutant is either rejected with a message, or read into a netlist that
+/// survives to_verilog: its text reads back to a netlist of the same shape,
+/// and — once reading has renumbered the gates in file order — writing and
+/// reading again reproduces the text exactly.
+void expect_verilog_rejected_or_round_trips(const std::string& text) {
+  netlist::VerilogParseError error;
+  const Netlist parsed = netlist::verilog_from_string(text, &error);
+  if (!error.ok) {
+    EXPECT_FALSE(error.message.empty());
+    return;
+  }
+  const auto read_back = [](const std::string& v) {
+    netlist::VerilogParseError e;
+    Netlist nl = netlist::verilog_from_string(v, &e);
+    EXPECT_TRUE(e.ok) << "line " << e.line << ": " << e.message;
+    return nl;
+  };
+  const Netlist back = read_back(netlist::to_verilog(parsed));
+  EXPECT_EQ(back.num_gates(), parsed.num_gates());
+  EXPECT_EQ(back.num_inputs(), parsed.num_inputs());
+  EXPECT_EQ(back.num_outputs(), parsed.num_outputs());
+  EXPECT_EQ(back.num_scan_cells(), parsed.num_scan_cells());
+  const std::string settled = netlist::to_verilog(back);
+  EXPECT_EQ(netlist::to_verilog(read_back(settled)), settled);
+}
+
+TEST(CorruptionFuzz, MutatedVerilogFailsOrRoundTrips) {
+  const std::string text = netlist::to_verilog(
+      eval::cached_design(eval::tiny_spec(), eval::Config::kSyn2).nl);
+  expect_verilog_rejected_or_round_trips(text);
+
+  Rng rng(2027);
+  // Mostly bytes the dialect is made of, so mutants often stay parseable.
+  const std::string alphabet = "0123456789_ \n(),.;ABCDYgnpio@";
+  const auto random_byte = [&]() -> char {
+    return rng.bernoulli(0.75)
+               ? alphabet[rng.next_below(alphabet.size())]
+               : static_cast<char>(rng.next_below(256));
+  };
+  int accepted = 0;
+  constexpr int kTrials = 300;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::string mutant = text;
+    switch (trial % 3) {
+      case 0:  // Byte flips.
+        for (std::uint64_t k = 1 + rng.next_below(3); k > 0; --k) {
+          mutant[rng.next_below(mutant.size())] = random_byte();
+        }
+        break;
+      case 1:  // Truncation, then a few stray bytes.
+        mutant.resize(rng.next_below(mutant.size()));
+        for (std::uint64_t k = rng.next_below(3); k > 0; --k) {
+          mutant.push_back(random_byte());
+        }
+        break;
+      default: {  // Splice: a prefix onto a suffix from elsewhere.
+        mutant = text.substr(0, rng.next_below(text.size() + 1)) +
+                 text.substr(rng.next_below(text.size() + 1));
+        break;
+      }
+    }
+    expect_verilog_rejected_or_round_trips(mutant);
+    netlist::VerilogParseError error;
+    netlist::verilog_from_string(mutant, &error);
+    accepted += error.ok;
+  }
+  // Both outcomes must be exercised, or the fuzz checks nothing.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kTrials);
 }
 
 // --- Model serialization -----------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -20,9 +21,15 @@
 #include "diagnosis/dictionary.h"
 #include "eval/datagen.h"
 #include "gnn/trainer.h"
+#include "eval/experiments.h"
 #include "graphx/subgraph.h"
+#include "obs/exemplar.h"
 #include "obs/metrics.h"
+#include "obs/prof/counters.h"
+#include "obs/stage.h"
 #include "obs/trace.h"
+#include "serve/model_registry.h"
+#include "serve/service.h"
 
 namespace m3dfl {
 namespace {
@@ -321,9 +328,9 @@ const obs::SpanEvent* find_span(const std::vector<obs::SpanEvent>& events,
 TEST(Tracer, NestedSpansShareAThreadAndStackDepths) {
   reset_tracer();
   {
-    obs::ObsSpan outer("obs_test.outer");
+    M3DFL_STAGE(outer, "obs_test.outer");
     {
-      obs::ObsSpan inner("obs_test.inner");
+      M3DFL_STAGE(inner, "obs_test.inner");
       // A little real work so durations are nonzero on coarse clocks.
       volatile double x = 0;
       for (int i = 0; i < 10000; ++i) x = x + 1.0;
@@ -354,7 +361,7 @@ TEST(Tracer, SpansRecordAcrossExecutorThreads) {
     std::vector<std::future<void>> done;
     for (int i = 0; i < 4; ++i) {
       done.push_back(exec.submit([&arrived] {
-        obs::ObsSpan span("obs_test.parallel");
+        M3DFL_STAGE(stage, "obs_test.parallel");
         arrived.fetch_add(1);
         while (arrived.load() < 4) std::this_thread::yield();
       }));
@@ -394,8 +401,8 @@ TEST(Tracer, RingOverflowDropsOldestWithoutCorruption) {
 TEST(Tracer, ChromeTraceExportIsValidJson) {
   reset_tracer();
   {
-    obs::ObsSpan a("obs_test.export");
-    obs::ObsSpan b("obs_test.export_inner");
+    M3DFL_STAGE(a, "obs_test.export");
+    M3DFL_STAGE(b, "obs_test.export_inner");
   }
   obs::Tracer::instance().set_enabled(false);
   std::ostringstream os;
@@ -468,7 +475,7 @@ TEST(TracedPipeline, CoversStagesAcrossThreadsWithoutPerturbingResults) {
   EXPECT_GE(tids.size(), 2u);
   for (const char* expected :
        {"datagen.generate", "datagen.shard", "dictionary.build",
-        "dictionary.shard", "train.epoch", "diag.backtrace", "diag.score",
+        "dictionary.shard", "train.epoch", "diag.suspects", "diag.score",
         "diag.rank", "executor.task"}) {
     EXPECT_TRUE(names.count(expected)) << "missing span " << expected;
   }
@@ -480,7 +487,102 @@ TEST(TracedPipeline, CoversStagesAcrossThreadsWithoutPerturbingResults) {
   EXPECT_GT(reg.histogram("datagen.sample").count(), 0u);
   EXPECT_GT(reg.histogram("dictionary.shard").count(), 0u);
   EXPECT_GT(reg.histogram("train.epoch").count(), 0u);
-  EXPECT_GT(reg.histogram("diag.backtrace").count(), 0u);
+  EXPECT_GT(reg.histogram("diag.suspects").count(), 0u);
+}
+
+// --- One stage, one name on every surface ----------------------------------
+
+TEST(Stage, ServedRequestShowsEachStageUnderOneNameEverywhere) {
+  using namespace eval;
+  const BenchmarkSpec spec = tiny_spec();
+  const RunScale scale = RunScale::tiny();
+  TrainedFramework fw =
+      train_framework(build_training_bundle(spec, false, scale), scale);
+  fw.policy.t_p = 0.0;  // Every tier call is confident: the classifier runs.
+  const Design& d = cached_design(spec, Config::kSyn2);
+  DatagenOptions o;
+  o.num_samples = 1;
+  o.seed = 77;
+  const Dataset ds = generate_dataset(d, o);
+  ASSERT_EQ(ds.size(), 1u);
+
+  serve::ModelRegistry registry;
+  registry.publish("default", fw);
+  serve::ServiceOptions opts;
+  opts.num_threads = 1;
+  serve::DiagnosisService service(registry, opts);
+  service.register_design(d);
+
+  // The request's stages; core.policy is apply_policy's own (T_update).
+  const std::vector<std::string> request_stages = {
+      "serve.queue",     "serve.process", "serve.diagnose", "diag.suspects",
+      "diag.score",      "diag.rank",     "serve.backtrace", "serve.policy",
+      "core.policy",     "gnn.tier",      "gnn.miv",        "gnn.classifier"};
+  auto& reg = obs::MetricsRegistry::instance();
+  auto& counters = obs::prof::CounterRegistry::instance();
+  auto counter_passes = [&counters](const std::string& name) {
+    for (const auto& [scope, totals] : counters.snapshot()) {
+      if (scope == name) return totals.count;
+    }
+    return std::uint64_t{0};
+  };
+  std::map<std::string, std::uint64_t> hist_before, counters_before;
+  for (const std::string& n : request_stages) {
+    hist_before[n] = reg.histogram(n).count();
+    counters_before[n] = counter_passes(n);
+  }
+
+  obs::ExemplarStore& store = obs::ExemplarStore::instance();
+  store.clear();
+  store.set_enabled(true);
+  counters.set_enabled(true);
+  reset_tracer();
+  ASSERT_TRUE(service.submit(d, ds.samples.front().log).get().ok);
+  service.drain();
+  obs::Tracer::instance().set_enabled(false);
+  counters.set_enabled(false);
+  store.set_enabled(false);
+
+  const std::vector<obs::RequestExemplar> kept = store.snapshot();
+  ASSERT_EQ(kept.size(), 1u);
+  std::set<std::string> exemplar_names;
+  for (const obs::ExemplarStage& st : kept.front().stages) {
+    EXPECT_TRUE(exemplar_names.insert(st.name).second) << st.name;
+  }
+  EXPECT_EQ(exemplar_names, std::set<std::string>(request_stages.begin(),
+                                                  request_stages.end()));
+
+  const std::vector<obs::SpanEvent> spans = obs::Tracer::instance().snapshot();
+  std::ostringstream chrome;
+  obs::Tracer::instance().write_chrome_trace(chrome);
+  const std::string countersz = counters.to_json();
+  const std::string metrics = reg.to_prometheus();
+  const std::string tracez = store.to_json();
+  for (const std::string& n : exemplar_names) {
+    EXPECT_NE(find_span(spans, n.c_str()), nullptr) << n;
+    EXPECT_NE(chrome.str().find("\"name\":\"" + n + "\""), std::string::npos)
+        << n;
+    EXPECT_NE(tracez.find("\"name\":\"" + n + "\""), std::string::npos) << n;
+    EXPECT_NE(countersz.find("\"" + n + "\":{\"count\":"), std::string::npos)
+        << n;
+    EXPECT_NE(metrics.find(obs::prometheus_metric_name(n) + "_count "),
+              std::string::npos)
+        << n;
+    // Each close is exactly one record on every counting surface.
+    EXPECT_EQ(reg.histogram(n).count(), hist_before[n] + 1) << n;
+    EXPECT_EQ(counter_passes(n), counters_before[n] + 1) << n;
+  }
+
+  // Nested stages carry their depth.
+  auto depth = [&spans](const char* name) {
+    const obs::SpanEvent* e = find_span(spans, name);
+    return e == nullptr ? 0u : e->depth;
+  };
+  EXPECT_EQ(depth("serve.diagnose"), depth("serve.process") + 1);
+  EXPECT_EQ(depth("diag.suspects"), depth("serve.diagnose") + 1);
+  EXPECT_EQ(depth("core.policy"), depth("serve.policy") + 1);
+  EXPECT_EQ(depth("gnn.tier"), depth("core.policy") + 1);
+  store.clear();
 }
 
 #endif  // M3DFL_OBS_ENABLED

@@ -19,6 +19,7 @@
 
 #include "obs/prof/counters.h"
 #include "obs/prof/profiler.h"
+#include "obs/stage.h"
 
 // External linkage + noinline so -rdynamic exports it and dladdr can name
 // it in the folded stacks; the volatile sink defeats whole-loop deletion.
@@ -35,7 +36,6 @@ __attribute__((noinline)) double m3dfl_prof_test_burn(double until_seconds) {
 namespace {
 
 using m3dfl::obs::prof::CounterRegistry;
-using m3dfl::obs::prof::CounterScope;
 using m3dfl::obs::prof::CounterValues;
 using m3dfl::obs::prof::CpuProfiler;
 using m3dfl::obs::prof::FoldedStack;
@@ -152,11 +152,11 @@ TEST(Counters, ScopeAggregatesAndSerializes) {
   reg.set_enabled(true);
   reg.reset();
   {
-    M3DFL_OBS_COUNTERS(ctrs, "test.burn");
+    M3DFL_STAGE(stage, "test.burn");
     m3dfl_prof_test_burn(0.05);
   }
   {
-    M3DFL_OBS_COUNTERS(ctrs, "test.burn");
+    M3DFL_STAGE(stage, "test.burn");
     m3dfl_prof_test_burn(0.05);
   }
   bool found = false;
@@ -182,7 +182,7 @@ TEST(Counters, DisabledScopeRecordsNothing) {
   reg.set_enabled(false);
   reg.reset();
   {
-    M3DFL_OBS_COUNTERS(ctrs, "test.disabled");
+    M3DFL_STAGE(stage, "test.disabled");
     m3dfl_prof_test_burn(0.02);
   }
   for (const auto& [name, totals] : reg.snapshot()) {

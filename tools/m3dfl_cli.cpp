@@ -101,6 +101,7 @@
 #include "obs/metrics.h"
 #include "obs/prof/counters.h"
 #include "obs/prof/profiler.h"
+#include "obs/stage.h"
 #include "obs/trace.h"
 #include "serve/admin.h"
 #include "serve/service.h"
@@ -484,11 +485,9 @@ int cmd_dict(const std::map<std::string, std::string>& flags) {
   if (flags.count("spill")) opts.spill_path = flags.at("spill");
 
   const eval::Design& d = eval::cached_design(*spec, *config);
-  const auto t0 = std::chrono::steady_clock::now();
+  M3DFL_STAGE(dict_stage, "cli.dict");
   const diag::FaultDictionary dict(d.nl, d.sites, *d.fsim, opts);
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const double seconds = dict_stage.stop();
 
   // Campaign stats are notices, not primary output: they go through the
   // logger (stderr) so `--metrics-json -` leaves stdout pure JSON.
