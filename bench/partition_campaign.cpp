@@ -1,9 +1,8 @@
 // Partitioned fault-dictionary campaign throughput: unpartitioned vs
-// hierarchical-region sharding (partition/hier.h) at 1 and 4 threads, plus
-// the out-of-core (spill) build, on the site-major campaign the dictionary
-// runs. Every variant's fingerprint() is checked against the sequential
-// unpartitioned build first, so the bench doubles as a coarse equivalence
-// smoke. Emits BENCH_partition_campaign.json (google-benchmark JSON schema)
+// hierarchical-region sharding (partition/hier.h) at 1 and 4 threads, on
+// the site-major campaign the dictionary runs. Every variant's
+// fingerprint() is checked against the sequential unpartitioned build
+// first, so the bench doubles as a coarse equivalence smoke. Emits BENCH_partition_campaign.json (google-benchmark JSON schema)
 // for the CI regression gate (tools/bench_compare).
 
 #include <cstdint>
@@ -86,27 +85,21 @@ int main() {
 
   struct Variant {
     const char* name;
-    sim::SimBackend backend;
     std::size_t threads;
     std::size_t partition;
-    const char* spill;
   };
   const Variant variants[] = {
-      {"dictionary/event_t1", sim::SimBackend::kEvent, 1, 0, ""},
-      {"dictionary/event_part_t1", sim::SimBackend::kEvent, 1, 1, ""},
-      {"dictionary/event_part_t4", sim::SimBackend::kEvent, 4, 1, ""},
-      {"dictionary/bitpar_part_t4_spill", sim::SimBackend::kBitParallel, 4, 1,
-       "bench_partition_spill.sig"},
+      {"dictionary/event_t1", 1, 0},
+      {"dictionary/event_part_t1", 1, 1},
+      {"dictionary/event_part_t4", 4, 1},
   };
 
   std::uint64_t golden_fp = 0;
   std::size_t entries = 0;
   for (const Variant& v : variants) {
     diag::FaultDictionaryOptions opts;
-    opts.backend = v.backend;
     opts.num_threads = v.threads;
     opts.partition_max_gates = v.partition ? region_gates : 0;
-    opts.spill_path = v.spill;
     M3DFL_STAGE(stage, "bench.dictionary");
     const diag::FaultDictionary dict(nl, sites, fsim, opts);
     const double wall = stage.stop();

@@ -266,7 +266,6 @@ int main(int argc, char** argv) {
       eval::DatagenOptions iopts;
       iopts.num_samples = fast ? 2 : 4;
       iopts.seed = 2027;
-      iopts.backend = sim::SimBackend::kBitParallel;
       inf_ds = eval::generate_dataset(big, iopts);
       subs = eval::graphs_of(inf_ds);
     } else {

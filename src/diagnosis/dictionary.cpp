@@ -9,7 +9,6 @@
 #include "common/executor.h"
 #include "obs/metrics.h"
 #include "obs/stage.h"
-#include "sim/bitpar/bitpar_sim.h"
 #include "sim/sim_pool.h"
 
 namespace m3dfl::diag {
@@ -98,8 +97,6 @@ FaultDictionary::FaultDictionary(const netlist::Netlist& nl,
   static obs::Counter& sim_cone_ctr = reg.counter("sim.cone_skips");
   static obs::Counter& sim_early_ctr = reg.counter("sim.early_exits");
 
-  reg.gauge("sim.backend").set(static_cast<double>(options.backend));
-
   if (!options.spill_path.empty()) {
     store_ = std::make_unique<compress::SignatureStore>(options.spill_path);
   }
@@ -147,56 +144,6 @@ FaultDictionary::FaultDictionary(const netlist::Netlist& nl,
     sim_early_ctr.add(d.early_exits);
   };
 
-  // Bit-parallel variant of build_sites: packs the shard's (site, polarity)
-  // jobs up to kMaxLanes per sweep, in site-major order, so the entry
-  // sequence (and thus fingerprint()) matches the event campaign exactly.
-  sim::bitpar::NetlistArena const* arena = nullptr;
-  sim::bitpar::BitParallelSimulator const* bp = nullptr;
-  std::optional<sim::bitpar::NetlistArena> arena_storage;
-  std::optional<sim::bitpar::BitParallelSimulator> bp_storage;
-  if (options.backend == sim::SimBackend::kBitParallel) {
-    arena_storage.emplace(nl, sites);
-    arena = &*arena_storage;
-    bp_storage.emplace(*arena, sites);
-    bp_storage->bind(fsim.good());
-    bp = &*bp_storage;
-    reg.gauge("sim.simd_tier").set(static_cast<double>(bp->tier()));
-  }
-  auto build_sites_bp = [&](sim::bitpar::BitParallelSimulator::Workspace& ws,
-                            std::span<const netlist::SiteId> site_list,
-                            std::vector<Entry>& out) {
-    M3DFL_STAGE(shard_stage, "dictionary.shard");
-    std::vector<sim::InjectedFault> jobs;
-    jobs.reserve(site_list.size() * 2);
-    for (netlist::SiteId s : site_list) {
-      for (sim::FaultPolarity pol : options.polarities) {
-        jobs.push_back({s, pol});
-      }
-    }
-    sim::bitpar::BitParallelSimulator::BatchResult res;
-    std::vector<std::uint64_t> keys;
-    for (std::size_t base = 0; base < jobs.size();
-         base += sim::bitpar::kMaxLanes) {
-      const std::size_t count =
-          std::min(sim::bitpar::kMaxLanes, jobs.size() - base);
-      bp->run(std::span<const sim::InjectedFault>(jobs).subspan(base, count),
-              ws, res);
-      for (std::size_t j = 0; j < count; ++j) {
-        res.keys_of(j, keys);
-        if (keys.empty()) continue;
-        Entry e;
-        e.site = jobs[base + j].site;
-        e.polarity = jobs[base + j].polarity;
-        e.keys = keys;
-        finish_entry(e);
-        out.push_back(std::move(e));
-      }
-    }
-    sim::bitpar::flush_bitpar_metrics(ws.stats);
-  };
-
-  const bool bitpar = options.backend == sim::SimBackend::kBitParallel;
-
   // Shard plan: either cone-closed hierarchical regions (paper-scale mode)
   // or contiguous site ranges. Both are lists of ascending site ids; the
   // region lists are non-contiguous across shards, so that mode re-sorts
@@ -237,44 +184,28 @@ FaultDictionary::FaultDictionary(const netlist::Netlist& nl,
   }
 
   if (threads <= 1) {
-    if (bitpar) {
-      sim::bitpar::BitParallelSimulator::Workspace ws;
-      for (const auto& span_ : shard_sites) {
-        build_sites_bp(ws, span_, entries_);
-      }
-    } else {
-      for (const auto& span_ : shard_sites) {
-        build_sites(fsim, span_, entries_);
-      }
+    for (const auto& span_ : shard_sites) {
+      build_sites(fsim, span_, entries_);
     }
   } else {
-    // One task per shard, merged in shard order. Event shards lease pooled
-    // simulator clones; bit-parallel shards share the one immutable
-    // simulator and own a private Workspace each.
+    // One task per shard, merged in shard order; each shard leases a
+    // pooled simulator clone.
     // Warm the netlist's lazy topo/level caches before fan-out (they are
     // unsynchronized; every shard reads the same netlist).
     nl.topo_order();
     nl.levels();
     nl.depth();
-    std::optional<sim::SimulatorPool> pool;
-    if (!bitpar) pool.emplace(fsim);
+    sim::SimulatorPool pool(fsim);
     Executor exec(threads, "dictionary");
     std::vector<std::vector<Entry>> shards(shard_sites.size());
     std::vector<std::future<void>> done;
     done.reserve(shards.size());
     for (std::size_t c = 0; c < shard_sites.size(); ++c) {
       const std::span<const netlist::SiteId> span_ = shard_sites[c];
-      if (bitpar) {
-        done.push_back(exec.submit([&build_sites_bp, &shards, c, span_] {
-          sim::bitpar::BitParallelSimulator::Workspace ws;
-          build_sites_bp(ws, span_, shards[c]);
-        }));
-      } else {
-        done.push_back(exec.submit([&build_sites, &pool, &shards, c, span_] {
-          auto sim_ = pool->lease();
-          build_sites(*sim_, span_, shards[c]);
-        }));
-      }
+      done.push_back(exec.submit([&build_sites, &pool, &shards, c, span_] {
+        auto sim_ = pool.lease();
+        build_sites(*sim_, span_, shards[c]);
+      }));
     }
     for (auto& f : done) f.get();  // Propagates shard exceptions.
     std::size_t total = 0;

@@ -9,7 +9,6 @@
 #include "compress/sigstore.h"
 #include "diagnosis/report.h"
 #include "partition/hier.h"
-#include "sim/backend.h"
 #include "sim/failure_log.h"
 #include "sim/fault_sim.h"
 
@@ -38,16 +37,11 @@ struct FaultDictionaryOptions {
   /// clones and merged in site order, so the dictionary is bit-identical
   /// at every thread count.
   std::size_t num_threads = 0;
-  /// Simulation engine for the campaign. kBitParallel batches up to 512
-  /// (site, polarity) jobs per sweep; both backends yield bit-identical
-  /// dictionaries (same fingerprint()) at every thread count.
-  sim::SimBackend backend = sim::SimBackend::kEvent;
   /// When > 0, the campaign shards over cone-closed hierarchical regions of
   /// at most this many gates (partition/hier.h) instead of contiguous site
-  /// ranges. Regions complete independently (across both backends and any
-  /// thread count) and the merged entries are restored to canonical
-  /// (site, polarity) order, so fingerprint() stays bit-identical to an
-  /// unpartitioned build.
+  /// ranges. Regions complete independently (at any thread count) and the
+  /// merged entries are restored to canonical (site, polarity) order, so
+  /// fingerprint() stays bit-identical to an unpartitioned build.
   std::size_t partition_max_gates = 0;
   /// When non-empty, signatures spill to this file as the campaign runs
   /// (delta + varint encoded, see compress/sigstore.h) and lookups read

@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <future>
-#include <optional>
-#include <span>
 
 #include "common/executor.h"
 #include "common/rng.h"
 #include "compress/compactor.h"
 #include "obs/metrics.h"
 #include "obs/stage.h"
-#include "sim/bitpar/bitpar_sim.h"
 #include "sim/sim_pool.h"
 
 namespace m3dfl::eval {
@@ -69,8 +66,8 @@ std::vector<InjectedFault> draw_faults(const Design& d, FaultMode mode,
   return faults;
 }
 
-/// Post-acceptance labeling shared by both backends: truth sites, tier
-/// label, MIV flag, and the back-traced sub-graph with labels filled.
+/// Post-acceptance labeling: truth sites, tier label, MIV flag, and the
+/// back-traced sub-graph with labels filled.
 void finalize_sample(const Design& design, Sample& sample) {
   sample.truth_sites.clear();
   for (const InjectedFault& f : sample.faults) {
@@ -156,8 +153,6 @@ Dataset generate_dataset(const Design& design, const DatagenOptions& opts) {
   static obs::Counter& sim_cone_ctr = reg.counter("sim.cone_skips");
   static obs::Counter& sim_early_ctr = reg.counter("sim.early_exits");
 
-  reg.gauge("sim.backend").set(static_cast<double>(opts.backend));
-
   auto run_range = [&](sim::FaultSimulator& fsim, std::size_t lo,
                        std::size_t hi) {
     M3DFL_STAGE(shard_stage, "datagen.shard");
@@ -179,119 +174,19 @@ Dataset generate_dataset(const Design& design, const DatagenOptions& opts) {
     sim_early_ctr.add(d.early_exits);
   };
 
-  // Bit-parallel shard: windows of up to kMaxLanes sample indices run as
-  // simulation waves. Each round draws one attempt for every still-active
-  // sample in the window, sweeps them as one multi-fault batch (one lane
-  // per sample), and judges each lane exactly as generate_sample judges
-  // one observed_diff call. Per-sample RNG streams and retry budgets pass
-  // through untouched, so the Dataset is bit-identical to the event
-  // backend.
-  const bool bitpar = opts.backend == sim::SimBackend::kBitParallel;
-  std::optional<sim::bitpar::NetlistArena> arena;
-  std::optional<sim::bitpar::BitParallelSimulator> bp;
-  if (bitpar) {
-    arena.emplace(design.nl, design.sites);
-    bp.emplace(*arena, design.sites);
-    bp->bind(design.fsim->good());
-    reg.gauge("sim.simd_tier").set(static_cast<double>(bp->tier()));
-  }
-  auto run_range_bp = [&](sim::bitpar::BitParallelSimulator::Workspace& ws,
-                          std::size_t lo, std::size_t hi) {
-    M3DFL_STAGE(shard_stage, "datagen.shard");
-    sim::bitpar::BitParallelSimulator::BatchResult res;
-    std::vector<sim::Word> diff;
-    struct Active {
-      std::size_t index;
-      Rng rng;
-      int attempt = 0;
-    };
-    std::vector<Active> active;
-    std::vector<std::span<const InjectedFault>> machines;
-    for (std::size_t w0 = lo; w0 < hi; w0 += sim::bitpar::kMaxLanes) {
-      const std::size_t w1 = std::min(hi, w0 + sim::bitpar::kMaxLanes);
-      // A wave sweeps every lane at once: per-sample timings don't exist.
-      M3DFL_STAGE(wave_stage, "datagen.wave");
-      active.clear();
-      for (std::size_t i = w0; i < w1; ++i) {
-        active.push_back({i, Rng(derive_seed(opts.seed, i))});
-      }
-      while (!active.empty()) {
-        machines.clear();
-        std::size_t keep = 0;
-        for (std::size_t a = 0; a < active.size(); ++a) {
-          Active st = std::move(active[a]);
-          Sample& sample = slots[st.index];
-          sample.faults = draw_faults(design, opts.mode, st.rng);
-          if (sample.faults.empty()) {
-            // Nothing to draw (no MIVs) — generate_sample fails such a
-            // sample immediately, outside the retry budget.
-            skipped_ctr.add(1);
-            continue;
-          }
-          machines.push_back(
-              {sample.faults.data(), sample.faults.size()});
-          active[keep++] = std::move(st);
-        }
-        active.resize(keep);
-        if (active.empty()) break;
-        bp->run_machines(machines, ws, res);
-        keep = 0;
-        for (std::size_t j = 0; j < active.size(); ++j) {
-          Active st = std::move(active[j]);
-          Sample& sample = slots[st.index];
-          ++st.attempt;
-          bool ok = false;
-          if (res.detected_lane(j)) {
-            if (opts.compacted) {
-              res.diff_of(j, diff);
-              sample.log = compactor.failure_log_from_diff(
-                  diff, design.fsim->num_words(),
-                  design.fsim->num_patterns());
-              // XOR aliasing can cancel every miscompare; retry within
-              // the same budget (mirrors generate_sample).
-              ok = !sample.log.empty();
-            } else {
-              sample.log = res.failure_log_of(j);
-              ok = true;
-            }
-          }
-          if (ok) {
-            finalize_sample(design, sample);
-            present[st.index] = 1;
-            samples_ctr.add(1);
-          } else if (st.attempt >= opts.max_retries) {
-            skipped_ctr.add(1);
-          } else {
-            active[keep++] = std::move(st);
-          }
-        }
-        active.resize(keep);
-      }
-    }
-    sim::bitpar::flush_bitpar_metrics(ws.stats);
-  };
-
   std::size_t threads = resolve_num_threads(opts.num_threads);
   threads = std::min(threads, std::max<std::size_t>(n, 1));
   if (threads <= 1) {
-    if (bitpar) {
-      sim::bitpar::BitParallelSimulator::Workspace ws;
-      run_range_bp(ws, 0, n);
-    } else {
-      run_range(*design.fsim, 0, n);
-    }
+    run_range(*design.fsim, 0, n);
   } else {
-    // Contiguous index shards. Event shards lease pooled simulator clones;
-    // bit-parallel shards share the one immutable simulator and own a
-    // private Workspace each. The design's shared simulator is never
-    // touched concurrently. The netlist's lazy topo/level caches are
-    // unsynchronized, so warm them before fan-out (same move as
-    // serve::DiagnosisService::register_design).
+    // Contiguous index shards, each on a leased pooled simulator clone;
+    // the design's shared simulator is never touched concurrently. The
+    // netlist's lazy topo/level caches are unsynchronized, so warm them
+    // before fan-out (same move as serve::DiagnosisService::register_design).
     design.nl.topo_order();
     design.nl.levels();
     design.nl.depth();
-    std::optional<sim::SimulatorPool> pool;
-    if (!bitpar) pool.emplace(*design.fsim);
+    sim::SimulatorPool pool(*design.fsim);
     Executor exec(threads, "datagen");
     const std::size_t num_chunks = std::min(n, threads * 4);
     const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
@@ -299,17 +194,10 @@ Dataset generate_dataset(const Design& design, const DatagenOptions& opts) {
     done.reserve(num_chunks);
     for (std::size_t lo = 0; lo < n; lo += chunk) {
       const std::size_t hi = std::min(n, lo + chunk);
-      if (bitpar) {
-        done.push_back(exec.submit([&run_range_bp, lo, hi] {
-          sim::bitpar::BitParallelSimulator::Workspace ws;
-          run_range_bp(ws, lo, hi);
-        }));
-      } else {
-        done.push_back(exec.submit([&run_range, &pool, lo, hi] {
-          auto sim = pool->lease();
-          run_range(*sim, lo, hi);
-        }));
-      }
+      done.push_back(exec.submit([&run_range, &pool, lo, hi] {
+        auto sim = pool.lease();
+        run_range(*sim, lo, hi);
+      }));
     }
     for (auto& f : done) f.get();  // Propagates shard exceptions.
   }

@@ -6,7 +6,6 @@
 #include "eval/benchmarks.h"
 #include "gnn/trainer.h"
 #include "graphx/backtrace.h"
-#include "sim/backend.h"
 #include "sim/failure_log.h"
 
 namespace m3dfl::eval {
@@ -50,11 +49,6 @@ struct DatagenOptions {
   /// The output is bit-identical at every thread count — see the RNG
   /// contract below.
   std::size_t num_threads = 0;
-  /// Simulation engine. kBitParallel sweeps windows of up to 512 samples
-  /// per pass (one fault machine per bit lane); per-sample RNG streams and
-  /// retry budgets are preserved, so the Dataset is bit-identical to the
-  /// event backend at every thread count.
-  sim::SimBackend backend = sim::SimBackend::kEvent;
 };
 
 /// Runs the Fig.-4 flow on a built design: inject -> simulate -> failure

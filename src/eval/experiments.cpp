@@ -97,7 +97,6 @@ TrainingBundle build_training_bundle(const BenchmarkSpec& spec,
   o.compacted = compacted;
   o.mode = FaultMode::kSingleSite;
   o.num_threads = scale.num_threads;
-  o.backend = scale.sim_backend;
   o.num_samples = scale.train_single;
   o.seed = derive_seed(spec.seed, 1001 + scale.seed);
   b.ds_syn1 = generate_dataset(*b.syn1, o);

@@ -37,9 +37,6 @@ struct RunScale {
   /// train_framework / build_training_bundle (0 = hardware concurrency).
   /// Outputs are bit-identical at every value — this is a speed knob only.
   std::size_t num_threads = 0;
-  /// Simulation engine for dataset generation (another pure speed knob:
-  /// both backends produce bit-identical datasets).
-  sim::SimBackend sim_backend = sim::SimBackend::kEvent;
   /// Per-epoch progress hook for every model train_framework runs; `model`
   /// is "tier", "miv" or "classifier". Observational only (the CLI wires
   /// it to --progress); leaving it empty changes nothing.

@@ -3,7 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "sim/bitpar/dispatch.h"
+#include "common/simd.h"
 
 namespace m3dfl::gnn {
 
@@ -27,9 +27,8 @@ namespace m3dfl::gnn {
 ///
 /// Each tier lives in its own translation unit (the AVX2 one is compiled
 /// with -mavx2); the function-pointer boundary keeps wide instructions out
-/// of code that runs before the cpuid check, exactly like the bit-parallel
-/// simulator's kernel family. Accessors return nullptr when the tier is not
-/// compiled in on this architecture.
+/// of code that runs before the cpuid check. Accessors return nullptr when
+/// the tier is not compiled in on this architecture.
 using QGemmFn = void (*)(const std::int8_t* a, const std::int8_t* bt,
                          std::int32_t* c, std::size_t m, std::size_t n,
                          std::size_t stride);
@@ -42,12 +41,11 @@ QGemmFn qgemm_scalar();
 QGemmFn qgemm_sse2();
 QGemmFn qgemm_avx2();
 
-/// Kernel for the active tier under the bit-parallel simulator's resolution
-/// order (force_tier() > M3DFL_SIMD > best_tier()) — the GNN path honors
-/// the same `--simd` forcing as the simulator.
+/// Kernel for the active tier under simd::resolve_tier()'s order
+/// (force_tier() > M3DFL_SIMD > best_tier()).
 QGemmFn active_qgemm();
 
 /// The tier active_qgemm() resolved to (for /statusz and tests).
-sim::bitpar::SimdTier active_qgemm_tier();
+simd::SimdTier active_qgemm_tier();
 
 }  // namespace m3dfl::gnn

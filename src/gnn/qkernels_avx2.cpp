@@ -1,5 +1,5 @@
 // AVX2 int8 GEMM tier, compiled with -mavx2 (see src/CMakeLists.txt) and
-// only entered after the cpuid check in sim/bitpar/dispatch.cpp passes.
+// only entered after the cpuid check in common/simd.cpp passes.
 //
 // _mm256_cvtepi8_epi16 + _mm256_madd_epi16 is chosen deliberately over the
 // classic _mm256_maddubs_epi16: maddubs saturates its pairwise u8*s8 sums

@@ -31,20 +31,20 @@ QGemmFn qgemm_scalar() { return &qgemm_scalar_impl; }
 
 QGemmFn active_qgemm() {
   switch (active_qgemm_tier()) {
-    case sim::bitpar::SimdTier::kAvx2:
+    case simd::SimdTier::kAvx2:
       if (QGemmFn fn = qgemm_avx2()) return fn;
       break;
-    case sim::bitpar::SimdTier::kSse2:
+    case simd::SimdTier::kSse2:
       if (QGemmFn fn = qgemm_sse2()) return fn;
       break;
-    case sim::bitpar::SimdTier::kScalar:
+    case simd::SimdTier::kScalar:
       break;
   }
   return qgemm_scalar();
 }
 
-sim::bitpar::SimdTier active_qgemm_tier() {
-  return sim::bitpar::resolve_tier();
+simd::SimdTier active_qgemm_tier() {
+  return simd::resolve_tier();
 }
 
 }  // namespace m3dfl::gnn

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/simd.h"
 #include "obs/build_info.h"
 #include "obs/exemplar.h"
 #include "obs/log.h"
@@ -15,8 +16,6 @@
 #include "obs/prof/profiler.h"
 #include "obs/trace.h"
 #include "serve/service.h"
-#include "sim/backend.h"
-#include "sim/bitpar/dispatch.h"
 
 namespace m3dfl::serve {
 
@@ -203,16 +202,13 @@ void register_admin_endpoints(obs::AdminHttpServer& server,
          << ",\"calibration\":{\"graphs\":" << q.calib_graphs
          << ",\"fingerprint\":\"" << (q.quantized_available ? fp : "") << "\"}";
     }
-    os << "},\"sim\":{"
-       << "\"backend\":\"" << sim::backend_name(static_cast<sim::SimBackend>(
-              obs::MetricsRegistry::instance().gauge("sim.backend").value()))
-       << "\",\"simd_tier\":\""
-       << sim::bitpar::tier_name(sim::bitpar::resolve_tier())
+    const simd::CpuFeatures& cpu = simd::cpu_features();
+    os << "},\"simd\":{"
+       << "\"tier\":\"" << simd::tier_name(simd::resolve_tier())
        << "\",\"cpu\":{"
-       << "\"sse2\":" << (sim::bitpar::cpu_features().sse2 ? "true" : "false")
-       << ",\"avx2\":" << (sim::bitpar::cpu_features().avx2 ? "true" : "false")
-       << ",\"os_avx\":"
-       << (sim::bitpar::cpu_features().os_avx ? "true" : "false") << "}}}";
+       << "\"sse2\":" << (cpu.sse2 ? "true" : "false")
+       << ",\"avx2\":" << (cpu.avx2 ? "true" : "false")
+       << ",\"os_avx\":" << (cpu.os_avx ? "true" : "false") << "}}}";
     obs::HttpResponse r;
     r.content_type = "application/json";
     r.body = os.str();

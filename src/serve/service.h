@@ -9,12 +9,12 @@
 #include <mutex>
 #include <string>
 
+#include "common/executor.h"
 #include "core/policy.h"
 #include "eval/benchmarks.h"
 #include "eval/experiments.h"
 #include "graphx/subgraph.h"
 #include "serve/cache.h"
-#include "serve/executor.h"
 #include "serve/metrics.h"
 #include "serve/model_registry.h"
 #include "sim/failure_log.h"

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "gnn/adam.h"
 #include "gnn/explain.h"
 #include "gnn/gcn.h"
@@ -18,7 +19,6 @@
 #include "gnn/qkernels.h"
 #include "gnn/quant.h"
 #include "gnn/trainer.h"
-#include "sim/bitpar/dispatch.h"
 
 namespace m3dfl::gnn {
 namespace {
@@ -283,9 +283,9 @@ TEST(QGemm, EveryCompiledTierMatchesInt32Reference) {
   const TierFn tiers[] = {
       {"scalar", qgemm_scalar(), true},
       {"sse2", qgemm_sse2(),
-       sim::bitpar::tier_available(sim::bitpar::SimdTier::kSse2)},
+       simd::tier_available(simd::SimdTier::kSse2)},
       {"avx2", qgemm_avx2(),
-       sim::bitpar::tier_available(sim::bitpar::SimdTier::kAvx2)},
+       simd::tier_available(simd::SimdTier::kAvx2)},
   };
   ASSERT_NE(tiers[0].fn, nullptr);
   int checked = 0;
@@ -303,9 +303,9 @@ TEST(QGemm, EveryCompiledTierMatchesInt32Reference) {
 }
 
 TEST(QGemm, ActiveKernelFollowsForcedTier) {
-  using sim::bitpar::SimdTier;
+  using simd::SimdTier;
   struct Clear {
-    ~Clear() { sim::bitpar::force_tier(std::nullopt); }
+    ~Clear() { simd::force_tier(std::nullopt); }
   } clear_on_exit;
   const struct {
     SimdTier tier;
@@ -316,8 +316,8 @@ TEST(QGemm, ActiveKernelFollowsForcedTier) {
       {SimdTier::kAvx2, qgemm_avx2()},
   };
   for (const auto& row : table) {
-    if (!sim::bitpar::tier_available(row.tier)) continue;
-    sim::bitpar::force_tier(row.tier);
+    if (!simd::tier_available(row.tier)) continue;
+    simd::force_tier(row.tier);
     EXPECT_EQ(active_qgemm_tier(), row.tier);
     EXPECT_EQ(active_qgemm(), row.fn);
   }

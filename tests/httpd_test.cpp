@@ -3,7 +3,8 @@
 // 405 + Allow, 400, HEAD), concurrent scrapes against a live server,
 // Prometheus exposition conformance (bit-exact le bounds, cumulative
 // buckets, label escaping, prometheus_lint), the bounded slow-request
-// exemplar store, and the structured logger's two sinks.
+// exemplar store, the structured logger's two sinks, and a seeded
+// mutation fuzz of admin requests.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "eval/experiments.h"
 #include "obs/exemplar.h"
 #include "obs/httpd.h"
@@ -56,13 +58,17 @@ namespace {
 struct HttpReply {
   bool ok = false;          ///< Transport-level success (connect/send/recv).
   int status = 0;
+  std::string status_line;  ///< First line, without its CRLF.
   std::map<std::string, std::string> headers;  ///< Lower-cased names.
   std::string body;
 };
 
 /// One-shot HTTP exchange over loopback: sends `request` verbatim, reads to
 /// EOF (the server sends Connection: close), parses status/headers/body.
-HttpReply http_exchange(std::uint16_t port, const std::string& request) {
+/// `half_close` shuts down the sending side after the request, so a server
+/// waiting on a request that never ends sees EOF instead of its timeout.
+HttpReply http_exchange(std::uint16_t port, const std::string& request,
+                        bool half_close = false) {
   HttpReply reply;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return reply;
@@ -76,13 +82,17 @@ HttpReply http_exchange(std::uint16_t port, const std::string& request) {
   }
   std::size_t sent = 0;
   while (sent < request.size()) {
-    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent, 0);
+    // MSG_NOSIGNAL: a server that closes early (a request past its read
+    // cap) must fail the exchange, not kill the test with SIGPIPE.
+    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
+                             MSG_NOSIGNAL);
     if (n <= 0) {
       ::close(fd);
       return reply;
     }
     sent += static_cast<std::size_t>(n);
   }
+  if (half_close) ::shutdown(fd, SHUT_WR);
   std::string raw;
   char buf[4096];
   for (;;) {
@@ -100,6 +110,7 @@ HttpReply http_exchange(std::uint16_t port, const std::string& request) {
   const std::string status_line =
       line_end == std::string::npos ? head : head.substr(0, line_end);
   if (status_line.rfind("HTTP/1.1 ", 0) != 0) return reply;
+  reply.status_line = status_line;
   reply.status = std::atoi(status_line.c_str() + 9);
   std::size_t pos = line_end == std::string::npos ? head.size() : line_end + 2;
   while (pos < head.size()) {
@@ -301,6 +312,110 @@ TEST(AdminHttp, StopIsIdempotentAndRejectsDoubleStart) {
   server.stop();
   server.stop();  // Second stop must be a no-op.
   EXPECT_FALSE(server.running());
+}
+
+// --- Request fuzz ------------------------------------------------------------
+
+/// The request cap in src/obs/httpd.cpp: the server stops reading there.
+constexpr std::size_t kMaxRequestBytes = 8192;
+
+/// "HTTP/1.1 <3 digits> <reason>" with a non-empty reason phrase.
+bool well_formed_status_line(const std::string& line) {
+  return line.size() > 13 && line.rfind("HTTP/1.1 ", 0) == 0 &&
+         std::isdigit(static_cast<unsigned char>(line[9])) &&
+         std::isdigit(static_cast<unsigned char>(line[10])) &&
+         std::isdigit(static_cast<unsigned char>(line[11])) &&
+         line[12] == ' ';
+}
+
+// Seeded mutants of valid admin requests (byte flips, truncations, splices
+// and requests that run past the read cap) each get exactly one
+// well-formed response, and the server keeps answering afterwards.
+TEST(CorruptionFuzz, MutatedHttpRequestGetsAStatusLine) {
+  AdminFixture fx;
+  const std::string requests[3] = {
+      "GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n",
+      "HEAD /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n",
+      "GET /profilez?seconds=1 HTTP/1.1\r\nHost: localhost\r\n\r\n"};
+#if M3DFL_OBS_ENABLED
+  // A held profiling session turns every mutant that still routes to
+  // /profilez into an immediate 409 instead of a profiling window.
+  auto& prof = obs::prof::CpuProfiler::instance();
+  obs::prof::ProfilerOptions popts;
+  popts.sample_hz = 1;
+  std::string error;
+  ASSERT_TRUE(prof.start(popts, &error)) << error;
+  struct StopProfiler {
+    obs::prof::CpuProfiler& prof;
+    ~StopProfiler() { prof.stop(); }
+  } stop_profiler{prof};
+#endif
+
+  Rng rng(2027);
+  // Mostly bytes requests are made of, so mutants often stay parseable.
+  const std::string alphabet = "GETHEAD /?=1 HTTP/1.\r\n:";
+  const auto random_byte = [&]() -> char {
+    return rng.bernoulli(0.75)
+               ? alphabet[rng.next_below(alphabet.size())]
+               : static_cast<char>(rng.next_below(256));
+  };
+  std::map<int, int> by_status;
+  constexpr int kTrials = 800;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const std::string& base = requests[rng.next_below(3)];
+    std::string mutant = base;
+    switch (trial % 4) {
+      case 0:  // Byte flips.
+        for (std::uint64_t k = 1 + rng.next_below(3); k > 0; --k) {
+          mutant[rng.next_below(mutant.size())] = random_byte();
+        }
+        break;
+      case 1:  // Truncation, then a few stray bytes.
+        mutant.resize(rng.next_below(mutant.size()));
+        for (std::uint64_t k = rng.next_below(3); k > 0; --k) {
+          mutant.push_back(random_byte());
+        }
+        break;
+      case 2: {  // Splice: a prefix of one request onto a suffix of either.
+        const std::string& other = requests[rng.next_below(3)];
+        mutant = base.substr(0, rng.next_below(base.size() + 1)) +
+                 other.substr(rng.next_below(other.size() + 1));
+        break;
+      }
+      default: {  // Past the read cap: a long header, or no end at all.
+        const std::string pad(
+            kMaxRequestBytes + rng.next_below(kMaxRequestBytes), 'a');
+        const std::size_t cut = mutant.size() - 2;  // Before the blank line.
+        mutant = rng.bernoulli(0.5)
+                     ? mutant.substr(0, cut) + "X-Pad: " + pad + "\r\n\r\n"
+                     : mutant.substr(0, rng.next_below(mutant.size())) + pad;
+        break;
+      }
+    }
+    const HttpReply r = http_exchange(fx.server.port(), mutant, true);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ASSERT_TRUE(r.ok) << "no parseable response";
+    EXPECT_TRUE(well_formed_status_line(r.status_line)) << r.status_line;
+    EXPECT_TRUE(r.status == 200 || r.status == 400 || r.status == 404 ||
+                r.status == 405 || r.status == 409 || r.status == 501)
+        << r.status_line;
+    // One response: a HEAD answer has no body, any other one exactly
+    // Content-Length bytes.
+    const auto length = r.headers.find("content-length");
+    ASSERT_NE(length, r.headers.end());
+    if (!r.body.empty()) {
+      EXPECT_EQ(length->second, std::to_string(r.body.size()));
+    }
+    ++by_status[r.status];
+  }
+  // Both outcomes must be exercised, or the fuzz checks nothing.
+  EXPECT_GT(by_status[200], 0);
+  EXPECT_GT(by_status[400], 0);
+
+  const HttpReply health = http_get(fx.server.port(), "/healthz");
+  ASSERT_TRUE(health.ok);
+  EXPECT_EQ(health.status, 200);
+  EXPECT_EQ(health.body, "ok\n");
 }
 
 // --- Profiling endpoints -----------------------------------------------------

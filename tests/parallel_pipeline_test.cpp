@@ -74,6 +74,21 @@ TEST(ParallelDatagen, BitIdenticalAcrossThreadCounts) {
     o.num_threads = threads;
     expect_datasets_identical(reference, generate_dataset(d, o));
   }
+
+  // Multi-fault machines (2-5 same-tier sites per sample) draw several
+  // sites per attempt from the same per-sample stream.
+  DatagenOptions m;
+  m.mode = FaultMode::kMultiSameTier;
+  m.num_samples = 25;
+  m.seed = 17;
+  m.num_threads = 1;
+  const Dataset multi = generate_dataset(d, m);
+  EXPECT_GT(multi.size(), 0u);
+  for (std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE("multi-fault threads=" + std::to_string(threads));
+    m.num_threads = threads;
+    expect_datasets_identical(multi, generate_dataset(d, m));
+  }
 }
 
 // The observability contract: spans and metrics are timing-only observers,

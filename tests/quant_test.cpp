@@ -8,12 +8,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <future>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "eval/datagen.h"
 #include "eval/experiments.h"
 #include "eval/framework_io.h"
@@ -23,15 +25,14 @@
 #include "gnn/serialize.h"
 #include "serve/model_registry.h"
 #include "serve/service.h"
-#include "sim/bitpar/dispatch.h"
 
 namespace m3dfl {
 namespace {
 
 /// Restores the unforced SIMD resolution on scope exit.
 struct TierGuard {
-  explicit TierGuard(sim::bitpar::SimdTier t) { sim::bitpar::force_tier(t); }
-  ~TierGuard() { sim::bitpar::force_tier(std::nullopt); }
+  explicit TierGuard(simd::SimdTier t) { simd::force_tier(t); }
+  ~TierGuard() { simd::force_tier(std::nullopt); }
 };
 
 /// Path graph 0-1-...-(n-1) with random features (same construction as the
@@ -243,10 +244,62 @@ TEST(QuantSerialize, HostileInputsFailWithoutTouchingDestination) {
   }
 }
 
+// --- SIMD tier dispatch ------------------------------------------------------
+
+TEST(Dispatch, TierNamesRoundTrip) {
+  using simd::SimdTier;
+  for (SimdTier t :
+       {SimdTier::kScalar, SimdTier::kSse2, SimdTier::kAvx2}) {
+    const auto parsed = simd::parse_tier(simd::tier_name(t));
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(*parsed, t);
+  }
+  EXPECT_FALSE(simd::parse_tier("avx512").has_value());
+  EXPECT_FALSE(simd::parse_tier("").has_value());
+}
+
+TEST(Dispatch, ScalarIsAlwaysAvailableAndBestIsAvailable) {
+  EXPECT_TRUE(simd::tier_available(simd::SimdTier::kScalar));
+  EXPECT_TRUE(simd::tier_available(simd::best_tier()));
+}
+
+TEST(Dispatch, ForceOverridesEnvAndFallsBackWhenUnavailable) {
+  using simd::SimdTier;
+  // Put back the caller's M3DFL_SIMD on exit: the later suites in this
+  // binary must still run under the tier a CI matrix leg forces.
+  struct RestoreEnv {
+    std::optional<std::string> saved;
+    RestoreEnv() {
+      if (const char* v = std::getenv("M3DFL_SIMD")) saved = v;
+    }
+    ~RestoreEnv() {
+      if (saved) {
+        setenv("M3DFL_SIMD", saved->c_str(), 1);
+      } else {
+        unsetenv("M3DFL_SIMD");
+      }
+    }
+  } restore_env;
+  simd::force_tier(SimdTier::kScalar);
+  EXPECT_EQ(simd::resolve_tier(), SimdTier::kScalar);
+  simd::force_tier(std::nullopt);
+
+  setenv("M3DFL_SIMD", "scalar", 1);
+  EXPECT_EQ(simd::resolve_tier(), SimdTier::kScalar);
+  // The forced tier wins over the environment.
+  simd::force_tier(simd::best_tier());
+  EXPECT_EQ(simd::resolve_tier(), simd::best_tier());
+  simd::force_tier(std::nullopt);
+  // Unknown env values fall back to the best tier (with a notice).
+  setenv("M3DFL_SIMD", "quantum", 1);
+  EXPECT_EQ(simd::resolve_tier(), simd::best_tier());
+  unsetenv("M3DFL_SIMD");
+}
+
 // --- Cross-tier bit-identity -------------------------------------------------
 
 TEST(QuantizedPredict, BitIdenticalAcrossForcedSimdTiers) {
-  using sim::bitpar::SimdTier;
+  using simd::SimdTier;
   const auto graphs = make_graphs(6, 51, /*with_mivs=*/true);
   const auto calib = ptrs_of(graphs);
   const auto qc = gnn::quantize_graph_classifier(
@@ -261,7 +314,7 @@ TEST(QuantizedPredict, BitIdenticalAcrossForcedSimdTiers) {
   std::vector<std::vector<double>> scores;
   for (SimdTier t :
        {SimdTier::kScalar, SimdTier::kSse2, SimdTier::kAvx2}) {
-    if (!sim::bitpar::tier_available(t)) continue;
+    if (!simd::tier_available(t)) continue;
     TierGuard guard(t);
     ASSERT_EQ(gnn::active_qgemm_tier(), t);
     probs.push_back(qc.predict_probs(g));
@@ -546,11 +599,11 @@ TEST(QuantServe, Int8WithoutTwinFallsBackToFp32) {
 }
 
 TEST(QuantServe, ServedInt8BitIdenticalAcrossSimdTiers) {
-  using sim::bitpar::SimdTier;
+  using simd::SimdTier;
   const QuantFixture& fx = fixture();
   std::vector<std::vector<serve::DiagnosisResponse>> per_tier;
   for (SimdTier t : {SimdTier::kScalar, SimdTier::kSse2, SimdTier::kAvx2}) {
-    if (!sim::bitpar::tier_available(t)) continue;
+    if (!simd::tier_available(t)) continue;
     TierGuard guard(t);
     std::vector<serve::DiagnosisResponse> responses;
     for (const sim::FailureLog& log : fx.logs) {

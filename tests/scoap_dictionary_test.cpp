@@ -332,22 +332,16 @@ TEST(FaultDictionary, PartitionedAndSpilledBuildsShareFingerprint) {
 
   struct Variant {
     const char* name;
-    sim::SimBackend backend;
     std::size_t threads;
     std::size_t partition;
     const char* spill;
   };
   const Variant variants[] = {
-      {"event-part", sim::SimBackend::kEvent, 1, 32, ""},
-      {"event-part-t4-spill", sim::SimBackend::kEvent, 4, 32,
-       "dict_fx78_ev.sig"},
-      {"bitpar-t4", sim::SimBackend::kBitParallel, 4, 0, ""},
-      {"bitpar-part-t4-spill", sim::SimBackend::kBitParallel, 4, 32,
-       "dict_fx78_bp.sig"},
+      {"event-part", 1, 32, ""},
+      {"event-part-t4-spill", 4, 32, "dict_fx78_ev.sig"},
   };
   for (const Variant& v : variants) {
     diag::FaultDictionaryOptions opts;
-    opts.backend = v.backend;
     opts.num_threads = v.threads;
     opts.partition_max_gates = v.partition;
     opts.spill_path = v.spill;

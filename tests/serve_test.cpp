@@ -14,12 +14,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/executor.h"
 #include "eval/datagen.h"
 #include "obs/exemplar.h"
 #include "eval/experiments.h"
 #include "eval/framework_io.h"
 #include "serve/cache.h"
-#include "serve/executor.h"
 #include "serve/metrics.h"
 #include "serve/model_registry.h"
 #include "serve/service.h"
@@ -32,7 +32,7 @@ using namespace std::chrono_literals;
 // --- Executor ----------------------------------------------------------------
 
 TEST(Executor, RunsTasksAndReturnsResults) {
-  serve::Executor pool(4);
+  Executor pool(4);
   std::vector<std::future<int>> futures;
   for (int i = 0; i < 32; ++i) {
     futures.push_back(pool.submit([i] { return i * i; }));
@@ -43,7 +43,7 @@ TEST(Executor, RunsTasksAndReturnsResults) {
 }
 
 TEST(Executor, PropagatesExceptionsThroughFutures) {
-  serve::Executor pool(2);
+  Executor pool(2);
   auto bad = pool.submit([]() -> int { throw std::runtime_error("boom"); });
   auto good = pool.submit([] { return 7; });
   EXPECT_THROW(bad.get(), std::runtime_error);
@@ -51,7 +51,7 @@ TEST(Executor, PropagatesExceptionsThroughFutures) {
 }
 
 TEST(Executor, RunsTasksConcurrently) {
-  serve::Executor pool(4);
+  Executor pool(4);
   std::atomic<int> active{0};
   std::atomic<int> max_active{0};
   std::vector<std::future<void>> futures;
@@ -72,7 +72,7 @@ TEST(Executor, RunsTasksConcurrently) {
 TEST(Executor, DestructorDrainsQueuedTasks) {
   std::atomic<int> ran{0};
   {
-    serve::Executor pool(1);
+    Executor pool(1);
     for (int i = 0; i < 16; ++i) {
       pool.post([&ran] { ++ran; });
     }
@@ -81,7 +81,7 @@ TEST(Executor, DestructorDrainsQueuedTasks) {
 }
 
 TEST(Executor, WaitIdleBlocksUntilQueueEmpty) {
-  serve::Executor pool(2);
+  Executor pool(2);
   std::atomic<int> ran{0};
   for (int i = 0; i < 8; ++i) {
     pool.post([&ran] {
@@ -260,11 +260,29 @@ TEST(ModelRegistry, HotSwapUnderConcurrentLoadIsAlwaysCoherent) {
   fw.policy.t_p = 1.0;  // Version k is published with t_p = 1 / k.
   registry.publish("fw", fw);
 
+  constexpr int kReaders = 4;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads{0};
+  // Readers that have finished their first read. The publisher waits for
+  // all of them, so every swap races live readers however the host
+  // schedules the threads.
+  std::atomic<int> arrived{0};
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&registry, &stop, &reads] {
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&registry, &stop, &reads, &arrived] {
+      // Arrives once: after the first read, or on the way out of a failed
+      // ASSERT, so the publisher never waits on a reader that bailed.
+      struct Arrival {
+        std::atomic<int>& count;
+        bool done = false;
+        void operator()() {
+          if (!done) {
+            done = true;
+            ++count;
+          }
+        }
+        ~Arrival() { (*this)(); }
+      } arrive{arrived};
       serve::ModelRegistry::Handle handle = registry.handle("fw");
       std::uint64_t last = 0;
       while (!stop.load(std::memory_order_relaxed)) {
@@ -277,9 +295,11 @@ TEST(ModelRegistry, HotSwapUnderConcurrentLoadIsAlwaysCoherent) {
         ASSERT_DOUBLE_EQ(p->framework.policy.t_p,
                          1.0 / static_cast<double>(p->version));
         ++reads;
+        arrive();
       }
     });
   }
+  while (arrived.load() < kReaders) std::this_thread::yield();
   constexpr std::uint64_t kSwaps = 200;
   for (std::uint64_t k = 2; k <= kSwaps + 1; ++k) {
     fw.policy.t_p = 1.0 / static_cast<double>(k);

@@ -58,8 +58,9 @@
 // Every subcommand accepts the observability flags:
 //   --trace out.json          Write a Chrome/Perfetto trace-event file
 //                             covering the command's pipeline spans.
-//   --metrics-json out.json   Dump the process metrics registry (and, for
-//                             serve, the service metrics) as JSON. "-"
+//   --metrics-json out.json   Dump the process metrics registry (plus, for
+//                             serve, the service metrics) and the int8
+//                             GEMM's SIMD tier as JSON. "-"
 //                             writes the JSON to stdout; the surrounding
 //                             notice lines go through the logger (stderr),
 //                             so stdout stays machine-parseable.
@@ -90,6 +91,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/simd.h"
 #include "diagnosis/dictionary.h"
 #include "eval/framework_io.h"
 #include "eval/quantize.h"
@@ -105,8 +107,6 @@
 #include "obs/trace.h"
 #include "serve/admin.h"
 #include "serve/service.h"
-#include "sim/backend.h"
-#include "sim/bitpar/dispatch.h"
 
 namespace m3dfl {
 namespace {
@@ -118,10 +118,6 @@ constexpr int kExitUsage = 2;
 /// Service metrics JSON captured by cmd_serve after drain(); main() folds
 /// it into the --metrics-json payload (the service is long gone by then).
 std::string g_service_metrics_json;
-
-/// Campaign simulation engine selected with --sim-backend (main() parses
-/// it once for every subcommand; train and inject consume it).
-sim::SimBackend g_sim_backend = sim::SimBackend::kEvent;
 
 int usage() {
   std::fputs(
@@ -146,8 +142,7 @@ int usage() {
       "           [--admin-port N] [--linger-ms N] [--inference fp32|int8]\n"
       "all subcommands also take [--trace out.json] [--metrics-json out.json|-]\n"
       "[--profile out.folded] [--counters] [--log-json]\n"
-      "[--sim-backend event|bitpar] [--simd scalar|sse2|avx2]\n"
-      "(M3DFL_SIMD env is the no-flag equivalent of --simd);\n"
+      "(M3DFL_SIMD=scalar|sse2|avx2 forces the int8 GEMM tier);\n"
       "gen/train also take [--progress]\n"
       "m3dfl --version prints build metadata\n"
       "benchmarks: aes tate netcard leon3mp tiny m3d100k m3d338k\n"
@@ -287,7 +282,6 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
   const bool compacted = flags.count("compacted") > 0;
   eval::RunScale scale;
   if (spec->name == "tiny") scale = eval::RunScale::tiny();
-  scale.sim_backend = g_sim_backend;
   if (flags.count("threads")) {
     const auto parsed = parse_u64(flags.at("threads"));
     if (!parsed || *parsed < 1) {
@@ -352,7 +346,6 @@ int cmd_inject(const std::map<std::string, std::string>& flags) {
   opts.num_samples = 1;
   opts.compacted = flags.count("compacted") > 0;
   opts.seed = seed;
-  opts.backend = g_sim_backend;
   const eval::Dataset ds = eval::generate_dataset(d, opts);
   if (ds.samples.empty()) {
     M3DFL_LOG_ERROR("cli", "drew no detectable fault; try another --seed");
@@ -464,7 +457,6 @@ int cmd_dict(const std::map<std::string, std::string>& flags) {
   if (!spec || !config) return usage();
 
   diag::FaultDictionaryOptions opts;
-  opts.backend = g_sim_backend;
   opts.num_threads = 1;
   if (flags.count("threads")) {
     const auto parsed = parse_u64(flags.at("threads"));
@@ -571,7 +563,6 @@ int cmd_quantize(const std::map<std::string, std::string>& flags) {
   } else {
     eval::RunScale scale;
     if (spec->name == "tiny") scale = eval::RunScale::tiny();
-    scale.sim_backend = g_sim_backend;
     scale.num_threads = static_cast<std::size_t>(threads);
     std::printf("no --framework given; training on %s first...\n",
                 spec->name.c_str());
@@ -588,7 +579,6 @@ int cmd_quantize(const std::map<std::string, std::string>& flags) {
   dopts.num_samples = calib_samples;
   dopts.seed = seed;
   dopts.num_threads = static_cast<std::size_t>(threads);
-  dopts.backend = g_sim_backend;
   const eval::Dataset calib_ds = eval::generate_dataset(d, dopts);
   dopts.num_samples = calib_samples * 2;
   dopts.seed = seed + 0x9e3779b9ull;
@@ -663,7 +653,6 @@ int cmd_eval(const std::map<std::string, std::string>& flags) {
   eval::DatagenOptions dopts;
   dopts.num_samples = samples;
   dopts.seed = seed;
-  dopts.backend = g_sim_backend;
   const eval::Dataset eval_ds = eval::generate_dataset(d, dopts);
   dopts.mode = eval::FaultMode::kSingleMiv;
   dopts.seed = seed + 0x51ed270bull;
@@ -953,7 +942,8 @@ int write_observability(const std::map<std::string, std::string>& flags) {
         "{\"registry\": " + obs::MetricsRegistry::instance().to_json() +
         ", \"service\": " +
         (g_service_metrics_json.empty() ? "null" : g_service_metrics_json) +
-        ", \"counters\": " + counters_json + "}\n";
+        ", \"counters\": " + counters_json + ", \"simd\": {\"tier\": \"" +
+        simd::tier_name(simd::resolve_tier()) + "\"}}\n";
     if (path == "-") {
       // Machine-readable mode: the JSON document is the only stdout output
       // of this block; the notice goes through the logger (stderr). This is
@@ -1017,12 +1007,10 @@ int main(int argc, char** argv) {
     M3DFL_LOG_ERROR("cli", "unknown subcommand '%s'", cmd.c_str());
     return usage();
   }
-  // Every subcommand records spans and metrics, can switch its diagnostics
-  // to JSON-lines, and can pick the campaign simulation engine / SIMD tier.
+  // Every subcommand records spans and metrics and can switch its
+  // diagnostics to JSON-lines.
   spec.value_flags.insert("trace");
   spec.value_flags.insert("metrics-json");
-  spec.value_flags.insert("sim-backend");
-  spec.value_flags.insert("simd");
   spec.value_flags.insert("profile");
   spec.switch_flags.insert("counters");
   spec.switch_flags.insert("log-json");
@@ -1037,24 +1025,6 @@ int main(int argc, char** argv) {
 
   const auto flags = parse_flags(argc, argv, 2, spec);
   if (!flags) return usage();
-
-  if (flags->count("sim-backend")) {
-    const auto b = sim::parse_backend(flags->at("sim-backend"));
-    if (!b) {
-      M3DFL_LOG_ERROR("cli", "--sim-backend wants event|bitpar");
-      return usage();
-    }
-    g_sim_backend = *b;
-  }
-  if (flags->count("simd")) {
-    const auto t = sim::bitpar::parse_tier(flags->at("simd"));
-    if (!t) {
-      M3DFL_LOG_ERROR("cli", "--simd wants scalar|sse2|avx2");
-      return usage();
-    }
-    // resolve_tier() falls back (with a notice) if the host lacks it.
-    sim::bitpar::force_tier(*t);
-  }
 
   const bool want_obs = flags->count("trace") || flags->count("progress") ||
                         flags->count("metrics-json");
